@@ -12,24 +12,9 @@ import time
 
 import numpy as np
 
-from adiabat.monopole import (assemble_adiabatic, config_norm_diff,
+from adiabat.monopole import (adiabatic_config, config_norm_diff,
                               newton_refine, sw_map, weighted_norm)
-from adiabat.topology import validate_mapping_class
-from adiabat.transport import transport
-from adiabat.vortexfield import (FlatBundleFamily, FlatCurve, HolonomyPath,
-                                 vortex_solve)
-from adiabat.zlattice import IntMatrix
-
-
-def assemble(n, m, steps):
-    mc = validate_mapping_class(1, IntMatrix.identity(2))
-    path = HolonomyPath.trigonometric([0.3, 0.1], [1, 0], amp=[0.15, -0.1])
-    fam = FlatBundleFamily(N=1, mc=mc, closing_permutation=(0,),
-                           paths=[path], tau_bar=2.0)
-    curve = FlatCurve(0.2 + 1.0j, n)
-    start, _ = vortex_solve(curve, fam.holonomies(0.0), 0, fam.tau())
-    trace = transport(curve, fam, start, steps=steps)
-    return assemble_adiabatic(trace, fam, m)
+from adiabat.vortexfield import FlatCurve, smooth_family
 
 
 def main():
@@ -40,7 +25,8 @@ def main():
     ap.add_argument("--eps", default="0.2,0.1,0.05")
     args = ap.parse_args()
 
-    Xi0 = assemble(args.grid, args.slices, args.tsteps)
+    Xi0 = adiabatic_config(FlatCurve(0.2 + 1.0j, args.grid), smooth_family(),
+                           args.slices, args.tsteps)
     eps_list = [float(x) for x in args.eps.split(",")]
     r0s, diffs = [], []
     for eps in eps_list:

@@ -13,12 +13,8 @@ import time
 
 import numpy as np
 
-from adiabat.monopole import assemble_adiabatic, identity_check
-from adiabat.topology import validate_mapping_class
-from adiabat.transport import transport
-from adiabat.vortexfield import (FlatBundleFamily, FlatCurve, HolonomyPath,
-                                 vortex_solve)
-from adiabat.zlattice import IntMatrix
+from adiabat.monopole import adiabatic_config, identity_check
+from adiabat.vortexfield import FlatCurve, smooth_family
 
 
 def tau_profile(X, Y):
@@ -36,18 +32,11 @@ def main():
                     help="use constant tau instead of the spatial profile")
     args = ap.parse_args()
 
-    mc = validate_mapping_class(1, IntMatrix.identity(2))
-    path = HolonomyPath.trigonometric([0.3, 0.1], [1, 0], amp=[0.15, -0.1])
-    spatial = None if args.flat_tau else tau_profile
+    fam = smooth_family(None if args.flat_tau else tau_profile)
     for n in (int(x) for x in args.grids.split(",")):
-        fam = FlatBundleFamily(N=1, mc=mc, closing_permutation=(0,),
-                               paths=[path], tau_bar=2.0,
-                               tau_spatial=spatial)
-        curve = FlatCurve(0.2 + 1.0j, n)
-        start, _ = vortex_solve(curve, fam.holonomies(0.0), 0, fam.tau())
         t0 = time.time()
-        trace = transport(curve, fam, start, steps=args.tsteps)
-        Xi = assemble_adiabatic(trace, fam, args.slices)
+        Xi = adiabatic_config(FlatCurve(0.2 + 1.0j, n), fam, args.slices,
+                              args.tsteps)
         report = identity_check(Xi, samples=args.samples)
         report["n"] = n
         report["seconds"] = round(time.time() - t0, 1)

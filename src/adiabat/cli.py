@@ -14,6 +14,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 
 import numpy as np
@@ -25,9 +26,9 @@ from .topology import (count_large_d, jacobian_fixed_points, spinc_classes,
 from .braid import (TorusBraid, braid_census, braid_construct,
                     braid_validate)
 from .vortexfield import (FlatBundleFamily, FlatCurve, moment_residual,
-                          save_vortex_config, vortex_solve, wrap_twist)
-from .transport import numeric_monodromy, transport
-from .monopole import (assemble_adiabatic, config_norm_diff, identity_check,
+                          save_vortex_config, vortex_solve)
+from .transport import match_strands, transported
+from .monopole import (adiabatic_config, config_norm_diff, identity_check,
                        newton_refine, save_config3d, sw_map, weighted_norm)
 
 
@@ -41,7 +42,33 @@ def parse_matrix(text: str) -> IntMatrix:
 
 
 def parse_floats(text: str):
-    return [float(x) for x in text.split(",")]
+    """Comma-separated finite floats."""
+    try:
+        vals = [float(x) for x in text.split(",")]
+    except ValueError as exc:
+        raise ValueError(f"bad number list {text!r}: {exc}") from exc
+    if not all(map(math.isfinite, vals)):
+        raise ValueError(f"non-finite number in {text!r}")
+    return vals
+
+
+def parse_holonomies(text: str) -> np.ndarray:
+    """Per-summand holonomies "a,b;c,d;..." as a finite (N, 2) array."""
+    rows = [parse_floats(row) for row in text.split(";")]
+    if any(len(row) != 2 for row in rows):
+        raise ValueError(f"bad --holonomies {text!r}: each summand needs "
+                         "two numbers a,b")
+    return np.array(rows)
+
+
+def _json(obj) -> str:
+    """Strict JSON: a non-finite float raises instead of printing NaN."""
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+
+
+def _error(payload: dict) -> None:
+    sys.stderr.write(json.dumps(payload, sort_keys=True, allow_nan=False)
+                     + "\n")
 
 
 def _emit(payload: str, out: str | None) -> None:
@@ -85,9 +112,9 @@ def cmd_spinc(args) -> int:
             [[s.degree, " ".join(str(x) for x in s.torsion_class)]
              for s in classes])
     else:
-        payload = json.dumps(
+        payload = _json(
             [{"degree": s.degree, "torsion_class": list(s.torsion_class)}
-             for s in classes], indent=2, sort_keys=True)
+             for s in classes])
     _emit(payload, args.out)
     return 0
 
@@ -101,10 +128,9 @@ def cmd_fix(args) -> int:
             [[" ".join(str(c) for c in x.coordinates),
               " ".join(str(c) for c in lab)] for x, lab in pts])
     else:
-        payload = json.dumps(
+        payload = _json(
             [{"fixed_point": [str(c) for c in x.coordinates],
-              "torsion_class": list(lab)} for x, lab in pts],
-            indent=2, sort_keys=True)
+              "torsion_class": list(lab)} for x, lab in pts])
     _emit(payload, args.out)
     return 0
 
@@ -145,8 +171,7 @@ def cmd_braid_make(args) -> int:
 
 def cmd_vortex(args) -> int:
     curve = _curve(args)
-    hol = np.array([[float(x) for x in row.split(",")]
-                    for row in args.holonomies.split(";")])
+    hol = parse_holonomies(args.holonomies)
     cfg, increments = vortex_solve(curve, hol, args.component, args.tau)
     res = moment_residual(cfg, args.tau)
     report = {
@@ -160,7 +185,7 @@ def cmd_vortex(args) -> int:
     }
     if args.out:
         save_vortex_config(args.out, cfg, 0.0)
-    _emit(json.dumps(report, indent=2, sort_keys=True), None)
+    _emit(_json(report), None)
     return 0
 
 
@@ -168,38 +193,34 @@ def cmd_transport(args) -> int:
     braid = _load_braid(args.braid)
     family = FlatBundleFamily.from_braid(braid, tau_bar=args.tau)
     curve = _curve(args)
-    perm = numeric_monodromy(curve, family, braid, steps=args.tsteps,
-                             tol=args.tolerance)
+    # the same per-strand runs as numeric_monodromy, kept so that strand 0's
+    # trace is written without transporting it again
+    traces = [transported(curve, family, k, args.tsteps, args.tolerance)
+              for k in range(family.N)]
+    perm = match_strands(family, [tr.final.holonomy for tr in traces],
+                         args.tsteps)
     if args.out:
-        start, _ = vortex_solve(curve, family.holonomies(0.0), 0,
-                                family.tau())
-        trace = transport(curve, family, start, args.tsteps,
-                          tol=args.tolerance)
         with open(args.out, "w") as fh:
-            fh.write(trace.to_jsonl())
+            fh.write(traces[0].to_jsonl())
     report = {"permutation": list(perm),
               "braid_permutation": list(braid.closing_permutation),
               "match": list(perm) == list(braid.closing_permutation)}
-    _emit(json.dumps(report, indent=2, sort_keys=True), None)
+    _emit(_json(report), None)
     return 0
 
 
 def _assemble(args):
-    braid = _load_braid(args.braid)
-    family = FlatBundleFamily.from_braid(braid, tau_bar=args.tau)
-    curve = _curve(args)
-    k0 = next(k for k in range(family.N)
-              if family.closing_permutation[k] == k)
-    start, _ = vortex_solve(curve, family.holonomies(0.0), k0, family.tau())
-    steps = max(args.tsteps, 4 * args.slices)
-    trace = transport(curve, family, start, steps, tol=args.tolerance)
-    return assemble_adiabatic(trace, family, args.slices, k0=k0)
+    family = FlatBundleFamily.from_braid(_load_braid(args.braid),
+                                         tau_bar=args.tau)
+    return adiabatic_config(_curve(args), family, args.slices, args.tsteps,
+                            args.tolerance)
 
 
 def cmd_newton(args) -> int:
+    eps_list = parse_floats(args.eps)
     Xi0 = _assemble(args)
     rows = []
-    for eps in parse_floats(args.eps):
+    for eps in eps_list:
         r0 = weighted_norm(Xi0, sw_map(Xi0, eps), eps, 2, 0).value
         Xi_eps, log = newton_refine(Xi0, eps)
         diff = config_norm_diff(Xi_eps, Xi0, eps, 2, 1).value
@@ -207,14 +228,14 @@ def cmd_newton(args) -> int:
                      "distance_1_2_eps": diff, "iterations": log})
         if args.out:
             save_config3d(f"{args.out}_eps{eps:g}", Xi_eps, eps)
-    _emit(json.dumps(rows, indent=2, sort_keys=True), None)
+    _emit(_json(rows), None)
     return 0
 
 
 def cmd_check_identities(args) -> int:
     Xi0 = _assemble(args)
     report = identity_check(Xi0, samples=args.samples, seed=args.seed)
-    _emit(json.dumps(report, indent=2, sort_keys=True), None)
+    _emit(_json(report), None)
     return 0
 
 
@@ -278,7 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("--targets", required=True,
                    help='JSON file: [{"class": [..], "count": k}, ...]')
-    p.add_argument("--seed", type=int, default=0)
     _add_output_flags(p)
     p.set_defaults(func=cmd_braid_make)
 
@@ -334,14 +354,17 @@ def main(argv=None) -> int:
             # argparse exits 2 on usage errors; that code is reserved for
             # numerical failures here
             return 0 if exc.code in (0, None) else 1
+        for name, val in vars(args).items():
+            vals = val if isinstance(val, list) else [val]
+            if any(isinstance(v, float) and not math.isfinite(v)
+                   for v in vals):
+                raise ValueError(f"--{name} must be finite")
         return args.func(args)
     except AdiabatError as exc:
-        sys.stderr.write(json.dumps(exc.to_json(), sort_keys=True) + "\n")
+        _error(exc.to_json())
         return exc.exit_code
     except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
-        sys.stderr.write(json.dumps(
-            {"error": type(exc).__name__, "message": str(exc)},
-            sort_keys=True) + "\n")
+        _error({"error": type(exc).__name__, "message": str(exc)})
         return 1
 
 

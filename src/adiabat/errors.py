@@ -7,6 +7,9 @@ failures exit 2.
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+
 
 class AdiabatError(Exception):
     """Base class; ``code`` is a stable machine-readable identifier."""
@@ -19,6 +22,7 @@ class AdiabatError(Exception):
         self.detail = detail
 
     def to_json(self) -> dict:
+        """Plain JSON-ready form; non-finite floats become strings."""
         return {
             "error": self.code,
             "message": str(self),
@@ -30,18 +34,18 @@ def _plain(v):
     try:
         import numpy as np
 
-        if isinstance(v, np.generic):
-            return v.item()
-        if isinstance(v, np.ndarray):
-            return v.tolist()
+        if isinstance(v, (np.generic, np.ndarray)):
+            return _plain(v.tolist())
     except ImportError:  # pragma: no cover
         pass
-    from fractions import Fraction
-
     if isinstance(v, Fraction):
+        return str(v)
+    if isinstance(v, float) and not math.isfinite(v):
         return str(v)
     if isinstance(v, (list, tuple)):
         return [_plain(x) for x in v]
+    if isinstance(v, dict):
+        return {k: _plain(x) for k, x in v.items()}
     return v
 
 

@@ -22,20 +22,22 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, gmres
 
 from .errors import (Divergence, LinearSolveFailure, NonConvergence,
                      PeriodicityMismatch)
-from .transport import TransportTrace, q_const_real, solve_psi
-from .vortexfield import (FlatBundleFamily, FlatCurve, VortexConfig,
-                          d_scalar, d_star, dolbeault_adjoint,
-                          dolbeault_apply, flat_deviation_q, form_pq,
-                          form_xy, save_field, star_d, wrap_twist)
+from .transport import TransportTrace, aux_spinor, transported
+from .vortexfield import (FlatBundleFamily, FlatCurve, _tau_grid, d_scalar,
+                          d_star, dolbeault_adjoint, dolbeault_apply,
+                          flat_deviation_q, form_pq, form_xy, save_field,
+                          star_d)
 
 TWO_PI = 2.0 * math.pi
+# largest seam mismatch of a transported end state that assembly accepts
+SEAM_TOL = 1e-5
 
 
 # ---------------------------------------------------------------------------
@@ -63,7 +65,7 @@ class SeamGluing:
     C: np.ndarray                # integer 2x2, grid map of f
     perm: Tuple[int, ...]        # closing permutation sigma
     W: np.ndarray                # (N, 2) large-gauge phase vectors
-    gamma: complex
+    gamma: complex = field(init=False)
     order: int = field(init=False)
 
     def __post_init__(self):
@@ -82,17 +84,12 @@ class SeamGluing:
         if not np.array_equal(C @ Cinv, np.eye(2, dtype=int)):
             raise PeriodicityMismatch("grid map is not invertible over Z",
                                       C=self.C.tolist())
-        self._Cinv = Cinv
         self._idx_fwd = _grid_index(self.curve, Cinv)
         X, Y = self.curve.grid()
         N = len(self.W)
         self._phase_fwd = np.stack([
             np.exp(-2j * math.pi * ((Cinv.T @ self.W[k])[0] * X
                                     + (Cinv.T @ self.W[k])[1] * Y))
-            for k in range(N)])
-        self._idx_bwd = _grid_index(self.curve, C)
-        self._phase_bwd = np.stack([
-            np.exp(2j * math.pi * (self.W[k][0] * X + self.W[k][1] * Y))
             for k in range(N)])
         object.__setattr__(self, "order", self._find_order())
 
@@ -114,25 +111,6 @@ class SeamGluing:
 
     def push_form01(self, Psi: np.ndarray) -> np.ndarray:
         return self.push_section(Psi) / np.conj(self.gamma)
-
-    # V = U^{-1}: slice i+m -> slice i ---------------------------------------
-
-    def pull_scalar(self, s: np.ndarray) -> np.ndarray:
-        return s[self._idx_bwd]
-
-    def pull_form(self, axy: np.ndarray) -> np.ndarray:
-        pulled = axy[:, self._idx_bwd[0], self._idx_bwd[1]]
-        return np.tensordot(self.C.T, pulled, axes=(1, 0))
-
-    def pull_section(self, Phi: np.ndarray) -> np.ndarray:
-        out = np.empty_like(Phi)
-        for k in range(len(Phi)):
-            out[self.perm[k]] = self._phase_bwd[self.perm[k]] \
-                * Phi[k][self._idx_bwd]
-        return out
-
-    def pull_form01(self, Psi: np.ndarray) -> np.ndarray:
-        return np.conj(self.gamma) * self.pull_section(Psi)
 
     def apply(self, arr: np.ndarray, kind: str) -> np.ndarray:
         return {"scalar": self.push_scalar, "form": self.push_form,
@@ -171,7 +149,6 @@ class Config3D:
     curve: FlatCurve
     family: FlatBundleFamily
     m: int
-    k0: int
     dev: np.ndarray            # (m, 2, n, n) iR-valued 1-form deviation
     Phi: np.ndarray            # (m, N, n, n)
     V: np.ndarray              # (m, n, n) iR-valued
@@ -182,15 +159,11 @@ class Config3D:
     cq: np.ndarray             # (m, N) flat dbar deviation constants
     aref_dot: np.ndarray       # (m, 2) active-strand velocity
     sigma_t: np.ndarray        # (m, 2)
-    adot: np.ndarray           # (m, N, 2)
     tau_grid: np.ndarray       # (n, n)
 
     @property
     def N(self) -> int:
         return self.Phi.shape[1]
-
-    def times(self) -> np.ndarray:
-        return np.arange(self.m) / self.m
 
 
 @dataclass
@@ -200,14 +173,6 @@ class Tangent3D:
     v: np.ndarray              # (m, n, n)
     c: np.ndarray              # (m, n, n)
     psi: np.ndarray            # (m, N, n, n)
-
-    def __add__(self, o):
-        return Tangent3D(self.a + o.a, self.phi + o.phi, self.v + o.v,
-                         self.c + o.c, self.psi + o.psi)
-
-    def __sub__(self, o):
-        return Tangent3D(self.a - o.a, self.phi - o.phi, self.v - o.v,
-                         self.c - o.c, self.psi - o.psi)
 
     def scale(self, s) -> "Tangent3D":
         return Tangent3D(s * self.a, s * self.phi, s * self.v, s * self.c,
@@ -312,13 +277,11 @@ def build_seam(curve: FlatCurve, family: FlatBundleFamily,
     dA = end - base
     W = np.stack([F @ (dA[k] - dA[k0]) for k in range(family.N)])
     return SeamGluing(curve=curve, C=C,
-                      perm=tuple(family.closing_permutation), W=W,
-                      gamma=0.0)
+                      perm=tuple(family.closing_permutation), W=W)
 
 
 def assemble_adiabatic(trace: TransportTrace, family: FlatBundleFamily,
-                       m: int, k0: Optional[int] = None,
-                       seam_tol: float = 1e-5) -> Config3D:
+                       m: int, k0: Optional[int] = None) -> Config3D:
     """Build the adiabatic 3D configuration Xi_0 (V = 0, b = 0) from a trace.
 
     The trace must contain states at the slice times i/m; Psi is recomputed
@@ -339,7 +302,6 @@ def assemble_adiabatic(trace: TransportTrace, family: FlatBundleFamily,
     cq = np.empty((m, N), complex)
     aref_dot = np.empty((m, 2))
     sigma_t = np.empty((m, 2))
-    adot = np.empty((m, N, 2))
     twists = trace.states[0].cfg.twists
     for i in range(m):
         t = i / m
@@ -359,24 +321,12 @@ def assemble_adiabatic(trace: TransportTrace, family: FlatBundleFamily,
                 curve, (hol[j] - base[j]) - (hol[k0] - base[k0]))
         aref_dot[i] = family.paths[k0].deriv(t)
         sigma_t[i] = family.sigma(t)
-        adot[i] = family.velocities(t)
-        # auxiliary spinor from the slice elliptic equation
-        q_dev_full = np.array([flat_deviation_q(curve, hol[j] - base[j])
-                               for j in range(N)])
-        q_sig = q_const_real(curve, sigma_t[i])
-        rhs = np.stack([
-            (q_sig + q_const_real(curve, TWO_PI * adot[i, j])) * cfg.Phi[j]
-            for j in range(N)])
-        Psi[i] = solve_psi(cfg, q_dev_full, rhs)
-    X, Y = curve.grid()
-    tau = family.tau()
-    tau_grid = np.asarray(tau(X, Y), float) if callable(tau) \
-        else np.full((n, n), float(tau))
-    Xi = Config3D(curve=curve, family=family, m=m, k0=k0, dev=dev, Phi=Phi,
+        Psi[i] = aux_spinor(cfg, family, t)[1]
+    Xi = Config3D(curve=curve, family=family, m=m, dev=dev, Phi=Phi,
                   V=np.zeros((m, n, n), complex),
                   b=np.zeros((m, n, n), complex), Psi=Psi, seam=seam,
                   twists=twists, cq=cq, aref_dot=aref_dot, sigma_t=sigma_t,
-                  adot=adot, tau_grid=tau_grid)
+                  tau_grid=_tau_grid(curve, family.tau()))
     # seam closure: the t = 1 trace state must be U(slice 0)
     end = trace.states[-1]
     if abs(end.t - 1.0) > 1e-9:
@@ -387,11 +337,29 @@ def assemble_adiabatic(trace: TransportTrace, family: FlatBundleFamily,
                         end.cfg.alpha[1] - 1j * ref1[1]])
     mis_dev = np.max(np.abs(dev_end - seam.push_form(dev[0])))
     mis_phi = np.max(np.abs(end.cfg.Phi - seam.push_section(Phi[0])))
-    if max(mis_dev, mis_phi) > seam_tol:
+    if max(mis_dev, mis_phi) > SEAM_TOL:
         raise PeriodicityMismatch(
             "transport end state does not close up across the seam",
             dev_mismatch=float(mis_dev), phi_mismatch=float(mis_phi))
     return Xi
+
+
+def adiabatic_config(curve: FlatCurve, family: FlatBundleFamily, m: int,
+                     steps: int, tol: float = 1e-6) -> Config3D:
+    """The adiabatic 3D configuration Xi_0 of a family on m slices.
+
+    The active strand k0 is the first strand fixed by the closing
+    permutation.  Its vortex seed is transported with max(steps, 4 m)
+    steps at moment tolerance ``tol`` and assembled on the slices.
+    """
+    fixed = [k for k, j in enumerate(family.closing_permutation) if j == k]
+    if not fixed:
+        raise PeriodicityMismatch(
+            "no strand is fixed by the closing permutation",
+            permutation=list(family.closing_permutation))
+    k0 = fixed[0]
+    trace = transported(curve, family, k0, max(steps, 4 * m), tol)
+    return assemble_adiabatic(trace, family, m, k0=k0)
 
 
 def adiabatic_residual(Xi: Config3D, eps: float = 1.0) -> float:
@@ -589,10 +557,6 @@ def quadratic_term(Xi: Config3D, xi: Tangent3D, eps: float) -> Tangent3D:
 # Inner products and weighted norms
 # ---------------------------------------------------------------------------
 
-def _grid_mean(vals: np.ndarray) -> float:
-    return float(np.mean(vals))
-
-
 def ip3(Xi: Config3D, u: Tangent3D, w: Tangent3D,
         eps: float = 1.0) -> float:
     """The eps-weighted real inner product <x,x'> + e^2<v,v'> + e^2<y,y'>."""
@@ -609,8 +573,8 @@ def ip3(Xi: Config3D, u: Tangent3D, w: Tangent3D,
     vv = np.real(u.v * np.conj(w.v))
     y = np.real(u.c * np.conj(w.c)) \
         + fw * np.sum(np.real(u.psi * np.conj(w.psi)), axis=1)
-    total = _grid_mean(x) + eps ** 2 * (_grid_mean(vv) + _grid_mean(y))
-    return area * total
+    total = np.mean(x) + eps ** 2 * (np.mean(vv) + np.mean(y))
+    return float(area * total)
 
 
 def _pointwise_sq(Xi: Config3D, arrs: Sequence[Tuple[np.ndarray, str]]):
@@ -633,7 +597,7 @@ def _pointwise_sq(Xi: Config3D, arrs: Sequence[Tuple[np.ndarray, str]]):
 
 def _lp(Xi: Config3D, sq: np.ndarray, p: float) -> float:
     dens = sq ** (p / 2.0)
-    return Xi.curve.area * _grid_mean(dens)
+    return Xi.curve.area * float(np.mean(dens))
 
 
 @dataclass
@@ -642,11 +606,6 @@ class WeightedNormReport:
     p: float
     level: object
     value: float
-
-    def to_json(self) -> str:
-        return json.dumps({"eps": self.eps, "p": self.p,
-                           "level": self.level, "value": self.value},
-                          sort_keys=True)
 
 
 def weighted_norm(Xi: Config3D, xi: Tangent3D, eps: float, p: float = 2,

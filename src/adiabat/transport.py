@@ -20,9 +20,8 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
-from typing import Callable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Iterable, List, Tuple
 
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, cg
@@ -31,9 +30,8 @@ from .braid import TorusBraid, braid_validate
 from .errors import (AmbiguousMatch, SingularOperator, TrackingLoss)
 from .vortexfield import (FlatBundleFamily, FlatCurve, VortexConfig,
                           dolbeault_adjoint, dolbeault_apply,
-                          flat_deviation_q, form_pq, moment_residual,
-                          toroidal_distance, vortex_solve, worker_count,
-                          wrap_twist)
+                          flat_deviation_q, moment_residual,
+                          toroidal_distance, vortex_solve, wrap_twist)
 
 
 def q_const_real(curve: FlatCurve, v) -> complex:
@@ -108,24 +106,31 @@ def solve_psi(cfg: VortexConfig, q_dev: np.ndarray, rhs: np.ndarray,
     return sol.reshape(shape)
 
 
-def _velocities(cfg: VortexConfig, family: FlatBundleFamily, t: float):
-    """(alpha_dot, Phi_dot, Psi) of the parallel-transport ODE at time t."""
+def aux_spinor(cfg: VortexConfig, family: FlatBundleFamily, t: float):
+    """(q_dev, Psi): the connection deviations at time t and the auxiliary
+    spinor solving the Psi equation there."""
     curve = cfg.curve
     q_dev = _component_q(cfg, family, t)
     adot = family.velocities(t)
-    sigma = np.asarray(family.sigma(t), float)
-    q_sig = q_const_real(curve, sigma)
+    q_sig = q_const_real(curve, np.asarray(family.sigma(t), float))
     rhs = np.empty_like(cfg.Phi)
     for j in range(cfg.N):
         rhs[j] = (q_sig + q_const_real(curve, 2.0 * math.pi * adot[j])) \
             * cfg.Phi[j]
-    Psi = solve_psi(cfg, q_dev, rhs)
+    return q_dev, solve_psi(cfg, q_dev, rhs)
+
+
+def _velocities(cfg: VortexConfig, family: FlatBundleFamily, t: float):
+    """(alpha_dot, Phi_dot) of the parallel-transport ODE at time t."""
+    curve = cfg.curve
+    q_dev, Psi = aux_spinor(cfg, family, t)
+    sigma = np.asarray(family.sigma(t), float)
     q = cfg.q_alpha()[None] + q_dev.reshape(-1, 1, 1)
     Phi_dot = -1j * dolbeault_adjoint(curve, Psi, cfg.twists, qbeta=q)
     eta = np.sum(Psi * np.conj(cfg.Phi), axis=0)
     ax_dot = -1j * (np.real(eta) - sigma[0])
     ay_dot = -1j * (np.real(eta * np.conj(curve.modulus)) - sigma[1])
-    return (ax_dot, ay_dot), Phi_dot, Psi
+    return (ax_dot, ay_dot), Phi_dot
 
 
 # ---------------------------------------------------------------------------
@@ -136,7 +141,6 @@ def _velocities(cfg: VortexConfig, family: FlatBundleFamily, t: float):
 class TransportState:
     t: float
     cfg: VortexConfig
-    Psi: np.ndarray
     moment_residual: float
 
     @property
@@ -151,9 +155,6 @@ class TransportState:
 @dataclass
 class TransportTrace:
     states: List[TransportState]
-    h: float
-    tolerance: float
-    matched_strand: Optional[int] = None
 
     def __post_init__(self):
         ts = [s.t for s in self.states]
@@ -175,7 +176,7 @@ class TransportTrace:
                 "holonomy": [float(x) for x in s.holonomy],
                 "moment_residual": s.moment_residual,
                 "phi_l2": s.phi_l2,
-            }))
+            }, allow_nan=False))
         return "\n".join(lines) + "\n"
 
 
@@ -186,15 +187,15 @@ def _rk4_step(cfg: VortexConfig, family: FlatBundleFamily, t: float,
         return replace(c, alpha=(ax + scale * dax, ay + scale * day),
                        Phi=c.Phi + scale * dPhi)
 
-    (k1x, k1y), k1p, _ = _velocities(cfg, family, t)
+    (k1x, k1y), k1p = _velocities(cfg, family, t)
     c2 = shifted(cfg, k1x, k1y, k1p, h / 2)
-    (k2x, k2y), k2p, _ = _velocities(c2, family, t + h / 2)
+    (k2x, k2y), k2p = _velocities(c2, family, t + h / 2)
     c3 = shifted(cfg, k2x, k2y, k2p, h / 2)
-    (k3x, k3y), k3p, _ = _velocities(c3, family, t + h / 2)
+    (k3x, k3y), k3p = _velocities(c3, family, t + h / 2)
     c4 = shifted(cfg, k3x, k3y, k3p, h)
     # query the last stage just inside the step: at a breakpoint t + h the
     # piecewise-linear velocity jumps to the next segment's slope
-    (k4x, k4y), k4p, _ = _velocities(c4, family, t + (1.0 - 1e-9) * h)
+    (k4x, k4y), k4p = _velocities(c4, family, t + (1.0 - 1e-9) * h)
     ax, ay = cfg.alpha
     return replace(
         cfg,
@@ -203,21 +204,17 @@ def _rk4_step(cfg: VortexConfig, family: FlatBundleFamily, t: float,
         Phi=cfg.Phi + h / 6 * (k1p + 2 * k2p + 2 * k3p + k4p))
 
 
-def _tau_of(family: FlatBundleFamily):
-    return family.tau()
-
-
 def _advance(cfg: VortexConfig, family: FlatBundleFamily, t: float,
              h: float, tol: float, depth: int = 0) -> VortexConfig:
     """One accepted step of size h, bisecting on residual excess."""
     out = _rk4_step(cfg, family, t, h)
-    if moment_residual(out, _tau_of(family)) <= tol:
+    if moment_residual(out, family.tau()) <= tol:
         return out
     if depth >= 6:
         raise TrackingLoss(
             "moment residual exceeds tolerance after 6 step halvings "
             "(wall proximity suspected)", t=t, h=h,
-            residual=moment_residual(out, _tau_of(family)))
+            residual=moment_residual(out, family.tau()))
     mid = _advance(cfg, family, t, h / 2, tol, depth + 1)
     return _advance(mid, family, t + h / 2, h / 2, tol, depth + 1)
 
@@ -230,11 +227,11 @@ def transport(curve: FlatCurve, family: FlatBundleFamily,
     Substeps are aligned with the family's breakpoints so piecewise-linear
     holonomy paths are integrated segment by segment with smooth data.
     """
-    res0 = moment_residual(start, _tau_of(family))
+    res0 = moment_residual(start, family.tau())
     if res0 > tol:
         raise TrackingLoss("start configuration violates the moment map",
                            residual=res0)
-    states = [TransportState(0.0, start, np.zeros_like(start.Phi), res0)]
+    states = [TransportState(0.0, start, res0)]
     cfg = start
     breaks = family.breaks()
     for t0, t1 in zip(breaks, breaks[1:]):
@@ -244,10 +241,20 @@ def transport(curve: FlatCurve, family: FlatBundleFamily,
             t = t0 + i * h
             cfg = _advance(cfg, family, t, h, tol)
             tn = t0 + (i + 1) * h
-            res = moment_residual(cfg, _tau_of(family))
             states.append(TransportState(
-                tn, cfg, np.zeros_like(cfg.Phi), res))
-    return TransportTrace(states=states, h=1.0 / steps, tolerance=tol)
+                tn, cfg, moment_residual(cfg, family.tau())))
+    return TransportTrace(states=states)
+
+
+def transported(curve: FlatCurve, family: FlatBundleFamily, k: int,
+                steps: int, tol: float = 1e-6) -> TransportTrace:
+    """The vortex seed with its section in summand k, transported over [0, 1].
+
+    This is the one place a vortex solve feeds transport: monodromy, the
+    ``transport`` command and the 3D assembly all start here.
+    """
+    start, _ = vortex_solve(curve, family.holonomies(0.0), k, family.tau())
+    return transport(curve, family, start, steps, tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -272,31 +279,32 @@ def _match_holonomy(final_hol: np.ndarray, F: np.ndarray,
     return int(best)
 
 
+def match_strands(family: FlatBundleFamily, finals: Iterable[np.ndarray],
+                  steps: int) -> Tuple[int, ...]:
+    """Read the permutation off the strands' final holonomies.
+
+    The final holonomy of strand k, pulled back through f*, is matched
+    against the t = 0 holonomies -a_j(0) with toroidal tolerance 10 h^2.
+    """
+    F = np.array(family.mc.fstar.to_lists(), float)
+    targets = wrap_twist(-family.holonomies(0.0))
+    match_tol = 10.0 / steps ** 2
+    perm = tuple(_match_holonomy(h, F, targets, match_tol) for h in finals)
+    if sorted(perm) != list(range(family.N)):
+        raise AmbiguousMatch("matched indices do not form a permutation",
+                             matches=list(perm))
+    return perm
+
+
 def numeric_monodromy(curve: FlatCurve, family: FlatBundleFamily,
                       braid: TorusBraid, steps: int = 200,
                       tol: float = 1e-6) -> Tuple[int, ...]:
     """Transport a vortex seed for each strand and read off the permutation.
 
-    The seed at strand k puts the holomorphic section in summand k; the
-    final holonomy, pulled back through f*, is matched against the t = 0
-    holonomies -a_j(0) with toroidal tolerance 10 h^2.
+    The seed at strand k puts the holomorphic section in summand k.  The
+    strands run one after another, and only each final holonomy is kept.
     """
     braid_validate(braid)
-    F = np.array(family.mc.fstar.to_lists(), float)
-    base = family.holonomies(0.0)
-    targets = wrap_twist(-base)
-    match_tol = 10.0 / steps ** 2
-
-    def run(k: int) -> int:
-        start, _ = vortex_solve(curve, base, k, family.tau())
-        trace = transport(curve, family, start, steps, tol=tol)
-        return _match_holonomy(trace.final.holonomy, F, targets, match_tol)
-
-    with ThreadPoolExecutor(max_workers=min(worker_count(),
-                                            family.N)) as ex:
-        out = list(ex.map(run, range(family.N)))
-    perm = tuple(out)
-    if sorted(perm) != list(range(family.N)):
-        raise AmbiguousMatch("matched indices do not form a permutation",
-                             matches=list(perm))
-    return perm
+    return match_strands(
+        family, (transported(curve, family, k, steps, tol).final.holonomy
+                 for k in range(family.N)), steps)

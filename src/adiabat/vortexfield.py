@@ -18,11 +18,10 @@ Delta positive semidefinite, solved by Newton iteration in Fourier space.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
-import os
 from dataclasses import dataclass, field, replace
-from fractions import Fraction
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -31,7 +30,8 @@ from scipy.sparse.linalg import LinearOperator, cg
 from .braid import TorusBraid
 from .errors import (EndpointMismatch, HolonomyMismatch, NoHolomorphicSection,
                      NonConvergence)
-from .topology import MappingClass
+from .topology import MappingClass, validate_mapping_class
+from .zlattice import IntMatrix
 
 TWO_PI = 2.0 * math.pi
 
@@ -49,6 +49,8 @@ class FlatCurve:
     def __post_init__(self):
         if self.n < 8 or self.n % 2:
             raise ValueError("grid resolution must be even and at least 8")
+        if not (cmath.isfinite(self.modulus) and math.isfinite(self.area)):
+            raise ValueError("modulus and area must be finite")
         if self.modulus.imag <= 0:
             raise ValueError("modulus must have positive imaginary part")
         if self.area <= 0:
@@ -124,11 +126,6 @@ def ip_section(curve: FlatCurve, s1: np.ndarray, s2: np.ndarray) -> float:
 
 def ip_form01(curve: FlatCurve, w1: np.ndarray, w2: np.ndarray) -> float:
     return curve.form_weight * float(np.real(integral(curve, w1 * np.conj(w2))))
-
-
-def herm_pointwise(s1: np.ndarray, s2: np.ndarray, axis=0) -> np.ndarray:
-    """Pointwise Hermitian pairing, antilinear in the second argument."""
-    return np.sum(s1 * np.conj(s2), axis=axis)
 
 
 # -- 1-form component conversions ------------------------------------------
@@ -241,11 +238,6 @@ class HolonomyPath:
         return np.asarray(self._deriv(float(t)), float)
 
     @staticmethod
-    def constant(a0) -> "HolonomyPath":
-        a0 = np.asarray(a0, float)
-        return HolonomyPath(lambda t: a0, lambda t: np.zeros(2))
-
-    @staticmethod
     def piecewise_linear(points: Sequence[Tuple[float, float, float]]) -> "HolonomyPath":
         ts = np.array([float(p[0]) for p in points])
         xs = np.array([[float(p[1]), float(p[2])] for p in points])
@@ -340,6 +332,20 @@ class FlatBundleFamily:
             tau_bar=tau_bar)
 
 
+def smooth_family(tau_spatial: Optional[Callable] = None) -> FlatBundleFamily:
+    """The smooth reference family of the tests and studies.
+
+    One vortex (N = 1, f* = identity, tau_bar = 2) over the trigonometric
+    holonomy loop a0 + t (1, 0) + sin(2 pi t)/(2 pi) (0.15, -0.1) with
+    a0 = (0.3, 0.1); ``tau_spatial`` optionally replaces the constant tau.
+    """
+    mc = validate_mapping_class(1, IntMatrix.identity(2))
+    path = HolonomyPath.trigonometric([0.3, 0.1], [1, 0], amp=[0.15, -0.1])
+    return FlatBundleFamily(N=1, mc=mc, closing_permutation=(0,),
+                            paths=[path], tau_bar=2.0,
+                            tau_spatial=tau_spatial)
+
+
 # ---------------------------------------------------------------------------
 # Vortex configurations
 # ---------------------------------------------------------------------------
@@ -381,17 +387,6 @@ class VortexConfig:
         if extra_q is not None:
             q = q + extra_q if np.ndim(extra_q) < 3 else extra_q + q[None]
         return dolbeault_apply(self.curve, vals, t, qbeta=q)
-
-    def dbar_adjoint(self, vals, twists=None, extra_q=None):
-        t = self.twists if twists is None else twists
-        if twists is not None and np.max(np.abs(
-                wrap_twist(np.asarray(twists) - self.twists))) > 1e-12:
-            raise HolonomyMismatch("field twisting disagrees with context",
-                                   expected=self.twists.tolist())
-        q = self.q_alpha()
-        if extra_q is not None:
-            q = q + extra_q if np.ndim(extra_q) < 3 else extra_q + q[None]
-        return dolbeault_adjoint(self.curve, vals, t, qbeta=q)
 
     def phi_l2_sq(self) -> float:
         return float(sum(ip_section(self.curve, p, p) for p in self.Phi))
@@ -435,10 +430,6 @@ def _kw_newton(curve: FlatCurve, tau_g: np.ndarray, tol: float,
     tau_bar = float(np.mean(tau_g))
     u = np.full((curve.n, curve.n), 0.5 * math.log(2.0 * tau_bar))
     n2 = curve.n * curve.n
-    dense = curve.n <= 32
-    if dense:
-        eye = np.eye(n2).reshape(n2, curve.n, curve.n)
-        lap = np.real(np.fft.ifft2(sym[None] * np.fft.fft2(eye))).reshape(n2, n2)
     increments = []
     for _ in range(max_iter):
         e2u = np.exp(2.0 * u)
@@ -446,27 +437,23 @@ def _kw_newton(curve: FlatCurve, tau_g: np.ndarray, tol: float,
         res = float(np.max(np.abs(F)))
         if res < tol:
             return u, increments
-        if dense:
-            J = lap + np.diag(e2u.ravel())
-            du = np.linalg.solve(J, -F.ravel()).reshape(curve.n, curve.n)
-        else:
-            shift = float(np.mean(e2u))
+        shift = float(np.mean(e2u))
 
-            def apply_J(x):
-                xg = x.reshape(curve.n, curve.n)
-                return (np.real(curve.spectral(xg, sym)) + e2u * xg).ravel()
+        def apply_J(x):
+            xg = x.reshape(curve.n, curve.n)
+            return (np.real(curve.spectral(xg, sym)) + e2u * xg).ravel()
 
-            def apply_M(x):
-                xg = x.reshape(curve.n, curve.n)
-                return np.real(curve.spectral(xg, 1.0 / (sym + shift))).ravel()
+        def apply_M(x):
+            xg = x.reshape(curve.n, curve.n)
+            return np.real(curve.spectral(xg, 1.0 / (sym + shift))).ravel()
 
-            op = LinearOperator((n2, n2), matvec=apply_J)
-            pre = LinearOperator((n2, n2), matvec=apply_M)
-            du, info = cg(op, -F.ravel(), rtol=1e-13, atol=0.0, M=pre,
-                          maxiter=500)
-            if info != 0:
-                raise NonConvergence("inner CG solve failed", info=info)
-            du = du.reshape(curve.n, curve.n)
+        op = LinearOperator((n2, n2), matvec=apply_J)
+        pre = LinearOperator((n2, n2), matvec=apply_M)
+        du, info = cg(op, -F.ravel(), rtol=1e-13, atol=0.0, M=pre,
+                      maxiter=500)
+        if info != 0:
+            raise NonConvergence("inner CG solve failed", info=info)
+        du = du.reshape(curve.n, curve.n)
         u = u + du
         increments.append(float(np.max(np.abs(du))))
     raise NonConvergence("Kazdan-Warner Newton iteration did not converge",
@@ -497,9 +484,9 @@ def vortex_solve(curve: FlatCurve, holonomies, k: int, tau,
             matches=matches, k=k)
     tau_g = _tau_grid(curve, tau)
     tau_bar = float(np.mean(tau_g))
-    if tau_bar <= 0:
-        raise ValueError("need d - tau_bar < 0: with d = 0, tau_bar must be "
-                         "positive")
+    if not (np.all(np.isfinite(tau_g)) and tau_bar > 0):
+        raise ValueError("need finite tau and d - tau_bar < 0: with d = 0, "
+                         "tau_bar must be positive")
     u, increments = _kw_newton(curve, tau_g, tol)
     twists = wrap_twist(hol + zeta0[None])
     Phi = np.zeros((len(hol), curve.n, curve.n), complex)
@@ -563,10 +550,3 @@ def save_vortex_config(prefix: str, cfg: VortexConfig, t: float,
     written.append(p)
     return written
 
-
-def worker_count() -> int:
-    """Parallelism cap from ADIABAT_THREADS (default: os.cpu_count())."""
-    raw = os.environ.get("ADIABAT_THREADS")
-    if raw is None:
-        return os.cpu_count() or 1
-    return max(1, int(raw))

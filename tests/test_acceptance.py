@@ -14,14 +14,14 @@ import numpy as np
 
 from adiabat.braid import (braid_census, braid_construct, braid_permutation,
                            braid_validate)
-from adiabat.monopole import (assemble_adiabatic, config_norm_diff,
+from adiabat.monopole import (adiabatic_config, config_norm_diff,
                               config_update, dsw_apply, identity_check, ip3,
                               linearize_apply, newton_refine, quadratic_term,
                               random_tangent, sw_map, weighted_norm)
 from adiabat.topology import (count_large_d, jacobian_fixed_points,
                               validate_mapping_class)
-from adiabat.transport import numeric_monodromy, transport
-from adiabat.vortexfield import (FlatBundleFamily, FlatCurve, HolonomyPath,
+from adiabat.transport import numeric_monodromy, transported
+from adiabat.vortexfield import (FlatBundleFamily, FlatCurve, smooth_family,
                                  vortex_solve)
 from adiabat.zlattice import IntMatrix, cokernel
 
@@ -38,21 +38,9 @@ def record(num, ok, detail):
     assert ok, REPORT[-1]
 
 
-def smooth_family(tau_spatial=None):
-    """One-vortex family over a trigonometric holonomy loop, f* = identity."""
-    mc = validate_mapping_class(1, IntMatrix.identity(2))
-    path = HolonomyPath.trigonometric([0.3, 0.1], [1, 0], amp=[0.15, -0.1])
-    return FlatBundleFamily(N=1, mc=mc, closing_permutation=(0,),
-                            paths=[path], tau_bar=2.0,
-                            tau_spatial=tau_spatial)
-
-
 def assemble(n, slices, tsteps, tau_spatial=None):
-    fam = smooth_family(tau_spatial)
-    curve = FlatCurve(MU, n)
-    start, _ = vortex_solve(curve, fam.holonomies(0.0), 0, fam.tau())
-    trace = transport(curve, fam, start, steps=tsteps)
-    return assemble_adiabatic(trace, fam, slices)
+    return adiabatic_config(FlatCurve(MU, n), smooth_family(tau_spatial),
+                            slices, tsteps)
 
 
 def tau_profile(X, Y):
@@ -184,10 +172,9 @@ def test_criterion_6_transport_fidelity():
         matched += perm == braid_permutation(braid)
 
     fam = smooth_family()
-    start, _ = vortex_solve(curve, fam.holonomies(0.0), 0, fam.tau())
 
     def hol(steps):
-        return transport(curve, fam, start, steps=steps).final.holonomy
+        return transported(curve, fam, 0, steps).final.holonomy
 
     ref = hol(320)
     e1 = float(np.max(np.abs(hol(20) - ref)))

@@ -4,9 +4,12 @@ import json
 
 import pytest
 
+import adiabat.cli
+import adiabat.transport
 from adiabat.cli import main, parse_matrix
+from adiabat.errors import Divergence
 
-from tests.test_braid import even_winding_braid
+from tests.test_braid import even_winding_braid, odd_winding_braid
 
 
 @pytest.fixture()
@@ -20,6 +23,14 @@ def run(capsys, argv):
     code = main(argv)
     out = capsys.readouterr()
     return code, out.out, out.err
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+def strict_json(text):
+    return json.loads(text, parse_constant=_reject_constant)
 
 
 class TestParsing:
@@ -36,6 +47,34 @@ class TestParsing:
     def test_usage_error_exits_one(self, capsys):
         code, _, _ = run(capsys, ["count", "--rank", "1", "--degree", "2"])
         assert code == 1
+
+    @pytest.mark.parametrize("argv, code", [
+        (["vortex", "--holonomies", "0.13,-0.21;-0.32,0.05"], 0),
+        (["vortex", "--holonomies", "0.1"], 1),
+        (["vortex", "--holonomies", "nan,0.2"], 1),
+        (["vortex", "--holonomies", "0.1,0.2;0.3"], 1),
+        (["vortex", "--holonomies", "0.1,inf"], 1),
+        (["vortex", "--holonomies", "0.1,0.2", "--modulus", "0", "inf"], 1),
+        (["vortex", "--holonomies", "0.1,0.2", "--tau", "nan"], 1),
+        (["newton", "--braid", "{braid}", "--eps", "0.2,nan"], 1),
+    ])
+    def test_numeric_input_checked_and_json_strict(self, capsys, braid_file,
+                                                   argv, code):
+        got, out, err = run(capsys, [a.format(braid=braid_file)
+                                     for a in argv])
+        assert got == code
+        if code == 0:
+            assert "moment_residual" in strict_json(out)
+        else:
+            assert out == ""
+            assert "error" in strict_json(err)
+
+    def test_error_detail_json_strict(self):
+        exc = Divergence("x", residual=float("nan"),
+                         log=[{"residual": float("inf")}])
+        payload = strict_json(json.dumps(exc.to_json(), allow_nan=False))
+        assert payload["detail"] == {"residual": "nan",
+                                     "log": [{"residual": "inf"}]}
 
 
 class TestExactLayer:
@@ -121,6 +160,46 @@ class TestNumericalLayer:
         report = json.loads(out)
         assert report["match"] is True
         assert report["permutation"] == [0, 1]
+
+    def test_transport_out_reuses_strand_traces(self, capsys, tmp_path,
+                                                monkeypatch):
+        """The --out trace is strand 0's run from the monodromy, so each
+        strand is transported exactly once."""
+        targets = tmp_path / "targets.json"
+        targets.write_text(json.dumps([{"class": [0, 1], "count": 1},
+                                       {"class": [1, 0], "count": 1}]))
+        b = str(tmp_path / "b.json")
+        assert main(["braid-make", "--matrix=-1,0;0,-1", "--rank", "2",
+                     "--targets", str(targets), "--out", b]) == 0
+        original = adiabat.transport.transport
+        runs = []
+
+        def counting(curve, family, start, *args, **kwargs):
+            trace = original(curve, family, start, *args, **kwargs)
+            runs.append((start.k, trace))
+            return trace
+
+        # callers look the function up in their own module
+        for mod in (adiabat.transport, adiabat.cli):
+            monkeypatch.setattr(mod, "transport", counting, raising=False)
+        out = tmp_path / "tr.jsonl"
+        code, _, _ = run(capsys, ["transport", "--braid", b, "--grid", "8",
+                                  "--tsteps", "40", "--out", str(out)])
+        assert code == 0
+        assert len(runs) == 2
+        last = strict_json(out.read_text().splitlines()[-1])
+        strand0 = next(trace for k, trace in runs if k == 0)
+        assert last["t"] == 1.0
+        assert last["holonomy"] == [float(x)
+                                    for x in strand0.final.holonomy]
+
+    def test_newton_without_fixed_strand_exit(self, capsys, tmp_path):
+        path = tmp_path / "odd.json"
+        path.write_text(odd_winding_braid().to_json())
+        code, _, err = run(capsys, ["newton", "--braid", str(path),
+                                    "--grid", "8", "--slices", "8"])
+        assert code == 1
+        assert strict_json(err)["error"] == "periodicity_mismatch"
 
     def test_check_identities(self, capsys, braid_file):
         code, out, _ = run(capsys, [

@@ -3,35 +3,20 @@
 import numpy as np
 import pytest
 
-from adiabat.monopole import (Tangent3D, adiabatic_residual,
-                              assemble_adiabatic, config_norm_diff,
+from adiabat.monopole import (Tangent3D, adiabatic_config,
+                              adiabatic_residual, config_norm_diff,
                               config_update, dsw_apply, identity_check, ip3,
                               linearize_apply,
                               newton_refine, quadratic_term, random_tangent,
                               save_config3d, sw_map, weighted_norm)
-from adiabat.topology import validate_mapping_class
-from adiabat.transport import transport
-from adiabat.vortexfield import (FlatBundleFamily, FlatCurve, HolonomyPath,
-                                 vortex_solve)
-from adiabat.zlattice import IntMatrix
+from adiabat.vortexfield import FlatCurve, smooth_family
 
 MU = 0.2 + 1.0j
 
 
-def small_config(n=12, m=16, steps=64, tau=None):
-    mc = validate_mapping_class(1, IntMatrix.identity(2))
-    path = HolonomyPath.trigonometric([0.3, 0.1], [1, 0], amp=[0.15, -0.1])
-    fam = FlatBundleFamily(N=1, mc=mc, closing_permutation=(0,),
-                           paths=[path], tau_bar=2.0, tau_spatial=tau)
-    curve = FlatCurve(MU, n)
-    start, _ = vortex_solve(curve, fam.holonomies(0.0), 0, fam.tau())
-    trace = transport(curve, fam, start, steps=steps)
-    return assemble_adiabatic(trace, fam, m)
-
-
 @pytest.fixture(scope="module")
 def Xi():
-    return small_config()
+    return adiabatic_config(FlatCurve(MU, 12), smooth_family(), 16, 64)
 
 
 class TestAssembly:

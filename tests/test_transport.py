@@ -5,25 +5,14 @@ import json
 import numpy as np
 
 from adiabat.braid import braid_permutation
-from adiabat.transport import (TransportTrace, apply_psi_operator,
-                               numeric_monodromy, solve_psi, transport)
-from adiabat.topology import validate_mapping_class
-from adiabat.vortexfield import (FlatBundleFamily, FlatCurve, HolonomyPath,
+from adiabat.transport import (apply_psi_operator, numeric_monodromy,
+                               solve_psi, transported)
+from adiabat.vortexfield import (FlatBundleFamily, FlatCurve, smooth_family,
                                  vortex_solve)
-from adiabat.zlattice import IntMatrix
 
 from tests.test_braid import even_winding_braid, odd_winding_braid
 
 MU = 0.2 + 1.0j
-MINUS_ID = IntMatrix.from_rows([[-1, 0], [0, -1]])
-
-
-def trig_family(tau_bar=2.0):
-    """Smooth one-vortex family with f* = identity, N = 1."""
-    mc = validate_mapping_class(1, IntMatrix.identity(2))
-    path = HolonomyPath.trigonometric([0.3, 0.1], [1, 0], amp=[0.15, -0.1])
-    return FlatBundleFamily(N=1, mc=mc, closing_permutation=(0,),
-                            paths=[path], tau_bar=tau_bar)
 
 
 class TestSolvePsi:
@@ -45,19 +34,16 @@ class TestSolvePsi:
 class TestTransport:
     def test_moment_map_preserved(self):
         curve = FlatCurve(MU, 16)
-        fam = trig_family()
-        start, _ = vortex_solve(curve, fam.holonomies(0.0), 0, fam.tau())
-        trace = transport(curve, fam, start, steps=60)
+        trace = transported(curve, smooth_family(), 0, 60)
         assert trace.max_moment_residual() < 1e-6
         assert trace.final.t == 1.0
 
     def test_step_order_near_four(self):
         curve = FlatCurve(MU, 16)
-        fam = trig_family()
-        start, _ = vortex_solve(curve, fam.holonomies(0.0), 0, fam.tau())
+        fam = smooth_family()
 
         def hol_at_end(steps):
-            return transport(curve, fam, start, steps=steps).final.holonomy
+            return transported(curve, fam, 0, steps).final.holonomy
 
         ref = hol_at_end(160)
         e1 = float(np.max(np.abs(hol_at_end(20) - ref)))
@@ -67,9 +53,7 @@ class TestTransport:
 
     def test_trace_jsonl(self):
         curve = FlatCurve(MU, 16)
-        fam = trig_family()
-        start, _ = vortex_solve(curve, fam.holonomies(0.0), 0, fam.tau())
-        trace = transport(curve, fam, start, steps=20)
+        trace = transported(curve, smooth_family(), 0, 20)
         lines = trace.to_jsonl().splitlines()
         assert len(lines) == len(trace.states)
         first = json.loads(lines[0])

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from adiabat.errors import NoHolomorphicSection
-from adiabat.vortexfield import (FlatBundleFamily, FlatCurve, HolonomyPath,
+from adiabat.vortexfield import (FlatBundleFamily, FlatCurve,
                                  dolbeault_adjoint, dolbeault_apply, integral,
                                  ip_form01, ip_section, load_field,
-                                 moment_residual, save_field, vortex_solve,
-                                 wrap_twist)
+                                 moment_residual, save_field, smooth_family,
+                                 vortex_solve, wrap_twist)
 
 MU = 0.2 + 1.0j
 
@@ -38,6 +38,15 @@ class TestFlatCurve:
         # mode (m, k) = (2, -1) is an eigenvector of d/dz
         want = (math.pi / MU.imag) * (-1 - np.conj(MU) * 2)
         assert np.max(np.abs(df - want * f)) < 1e-10
+
+    @pytest.mark.parametrize("modulus, area", [
+        (complex(0.0, math.inf), 2 * math.pi),
+        (complex(math.nan, 1.0), 2 * math.pi),
+        (MU, math.nan),
+    ])
+    def test_rejects_non_finite(self, modulus, area):
+        with pytest.raises(ValueError):
+            FlatCurve(modulus, 16, area)
 
     def test_wrap_twist_range(self):
         w = wrap_twist(np.array([0.7, -0.5, 1.2, -1.49]))
@@ -147,7 +156,7 @@ class TestFamily:
         assert np.max(np.abs(wrap_twist(hol - want))) < 1e-12
 
     def test_velocities_match_finite_differences(self):
-        path = HolonomyPath.trigonometric([0.3, 0.1], [1, 0], amp=[0.15, -0.1])
+        path = smooth_family().paths[0]
         h = 1e-6
         for t in (0.2, 0.55, 0.9):
             fd = (path(t + h) - path(t - h)) / (2 * h)
