@@ -263,6 +263,10 @@ def _add_numeric_flags(p):
     p.add_argument("--tolerance", type=float, default=1e-6)
 
 
+# counts and tolerances: zero or a negative value is an input error
+POSITIVE_FLAGS = ("tsteps", "slices", "samples", "tolerance")
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="adiabat",
@@ -359,6 +363,8 @@ def main(argv=None) -> int:
             if any(isinstance(v, float) and not math.isfinite(v)
                    for v in vals):
                 raise ValueError(f"--{name} must be finite")
+            if name in POSITIVE_FLAGS and not val > 0:
+                raise ValueError(f"--{name} must be positive")
         return args.func(args)
     except AdiabatError as exc:
         _error(exc.to_json())

@@ -85,29 +85,33 @@ class SeamGluing:
             raise PeriodicityMismatch("grid map is not invertible over Z",
                                       C=self.C.tolist())
         self._idx_fwd = _grid_index(self.curve, Cinv)
+        # 1-forms push forward by F^-1 = (C^-1)^T
+        self._Finv = Cinv.T
         X, Y = self.curve.grid()
         N = len(self.W)
         self._phase_fwd = np.stack([
             np.exp(-2j * math.pi * ((Cinv.T @ self.W[k])[0] * X
                                     + (Cinv.T @ self.W[k])[1] * Y))
             for k in range(N)])
+        # spinor gather: component k of the image reads component perm[k]
+        i0, i1 = self._idx_fwd
+        self._idx_section = (np.asarray(self.perm).reshape(-1, 1, 1),
+                             i0[None], i1[None])
         object.__setattr__(self, "order", self._find_order())
 
-    # U: slice i -> slice i+m ------------------------------------------------
+    # U: slice i -> slice i+m, on the last axes of a stack of slices ---------
 
     def push_scalar(self, s: np.ndarray) -> np.ndarray:
-        return s[self._idx_fwd]
+        return s[..., self._idx_fwd[0], self._idx_fwd[1]]
 
     def push_form(self, axy: np.ndarray) -> np.ndarray:
-        Finv = np.linalg.inv(self.C.T)
-        pulled = axy[:, self._idx_fwd[0], self._idx_fwd[1]]
-        return np.tensordot(Finv, pulled, axes=(1, 0))
+        pulled = axy[..., self._idx_fwd[0], self._idx_fwd[1]]
+        # einsum, not a BLAS product: a threaded 2 x 2 product over a whole
+        # stack burns CPU without saving time
+        return np.einsum("ij,...jxy->...ixy", self._Finv, pulled)
 
     def push_section(self, Phi: np.ndarray) -> np.ndarray:
-        out = np.empty_like(Phi)
-        for k in range(len(Phi)):
-            out[k] = self._phase_fwd[k] * Phi[self.perm[k]][self._idx_fwd]
-        return out
+        return self._phase_fwd * Phi[(...,) + self._idx_section]
 
     def push_form01(self, Psi: np.ndarray) -> np.ndarray:
         return self.push_section(Psi) / np.conj(self.gamma)
@@ -202,12 +206,9 @@ def config_update(Xi: Config3D, xi: Tangent3D) -> Config3D:
 # ---------------------------------------------------------------------------
 
 def _extend(Xi: Config3D, arr: np.ndarray, kind: str) -> np.ndarray:
-    R = Xi.seam.order
     chunks = [arr]
-    for _ in range(R - 1):
-        prev = chunks[-1]
-        chunks.append(np.stack([Xi.seam.apply(prev[i], kind)
-                                for i in range(Xi.m)]))
+    for _ in range(Xi.seam.order - 1):
+        chunks.append(Xi.seam.apply(chunks[-1], kind))
     return np.concatenate(chunks, axis=0)
 
 
@@ -222,42 +223,41 @@ def d_t(Xi: Config3D, arr: np.ndarray, kind: str) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Slice-local Sigma operators
+# Sigma operators, applied to all slices at once (slice axis first)
 # ---------------------------------------------------------------------------
 
-def _q_of(Xi: Config3D, a_slice: np.ndarray) -> np.ndarray:
-    return form_pq(Xi.curve, a_slice[0], a_slice[1])[1]
+def _q_of(Xi: Config3D, a: np.ndarray) -> np.ndarray:
+    return form_pq(Xi.curve, a[:, 0], a[:, 1])[1]
 
 
-def _dbar(Xi: Config3D, i: int, s: np.ndarray, extra_a=None) -> np.ndarray:
-    q = _q_of(Xi, Xi.dev[i])[None] + Xi.cq[i].reshape(-1, 1, 1)
-    if extra_a is not None:
-        q = q + _q_of(Xi, extra_a)[None]
-    return dolbeault_apply(Xi.curve, s, Xi.twists, qbeta=q)
+def _q_conn(Xi: Config3D) -> np.ndarray:
+    """(m, N, n, n) dzbar coefficient of the connection deviation of Xi."""
+    return _q_of(Xi, Xi.dev)[:, None] + Xi.cq[:, :, None, None]
 
 
-def _dbar_star(Xi: Config3D, i: int, w: np.ndarray, extra_a=None) -> np.ndarray:
-    q = _q_of(Xi, Xi.dev[i])[None] + Xi.cq[i].reshape(-1, 1, 1)
-    if extra_a is not None:
-        q = q + _q_of(Xi, extra_a)[None]
-    return dolbeault_adjoint(Xi.curve, w, Xi.twists, qbeta=q)
+def _dbar(Xi: Config3D, s: np.ndarray) -> np.ndarray:
+    return dolbeault_apply(Xi.curve, s, Xi.twists, qbeta=_q_conn(Xi))
+
+
+def _dbar_star(Xi: Config3D, w: np.ndarray) -> np.ndarray:
+    return dolbeault_adjoint(Xi.curve, w, Xi.twists, qbeta=_q_conn(Xi))
 
 
 def _star1(curve: FlatCurve, axy: np.ndarray) -> np.ndarray:
     """Hodge star on 1-forms: p dz + q dzbar -> -i p dz + i q dzbar."""
-    p, q = form_pq(curve, axy[0], axy[1])
-    return np.stack(form_xy(curve, -1j * p, 1j * q))
+    p, q = form_pq(curve, axy[:, 0], axy[:, 1])
+    return np.stack(form_xy(curve, -1j * p, 1j * q), axis=1)
 
 
 def _im_form01(curve: FlatCurve, eta: np.ndarray) -> np.ndarray:
     """Components of Im(eta dzbar): (Im eta, Im(eta mubar))."""
-    return np.stack([np.imag(eta),
-                     np.imag(eta * np.conj(curve.modulus))]).astype(complex)
+    return np.stack([np.imag(eta), np.imag(eta * np.conj(curve.modulus))],
+                    axis=1).astype(complex)
 
 
-def _pair01(curve: FlatCurve, Psi: np.ndarray, Phi: np.ndarray) -> np.ndarray:
+def _pair01(Psi: np.ndarray, Phi: np.ndarray) -> np.ndarray:
     """<Psi, Phi> pointwise: the dzbar coefficient sum_j Psi_j conj(Phi_j)."""
-    return np.sum(Psi * np.conj(Phi), axis=0)
+    return np.sum(Psi * np.conj(Phi), axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +289,8 @@ def assemble_adiabatic(trace: TransportTrace, family: FlatBundleFamily,
     match the seam image of the t = 0 slice, otherwise the closing gauge
     cannot be realized on the grid.
     """
+    if m < 1:
+        raise ValueError("the number of t-slices must be at least 1")
     states = {round(s.t * 1e7): s for s in trace.states}
     curve = trace.states[0].cfg.curve
     if k0 is None:
@@ -378,87 +380,53 @@ def sw_map(Xi: Config3D, eps: float) -> Tangent3D:
     if eps <= 0:
         raise ValueError("eps must be positive")
     curve = Xi.curve
-    out = Tangent3D.zero(Xi)
-    ddev = d_t(Xi, Xi.dev, "form")
-    dPhi = d_t(Xi, Xi.Phi, "section")
-    dPsi = d_t(Xi, Xi.Psi, "form01")
-    dV = d_t(Xi, Xi.V, "scalar")
     ie2 = 1.0 / eps ** 2
-    for i in range(Xi.m):
-        Adot = ddev[i].copy()
-        Adot[0] += -2j * math.pi * Xi.aref_dot[i, 0]
-        Adot[1] += -2j * math.pi * Xi.aref_dot[i, 1]
-        dbx, dby = d_scalar(curve, Xi.b[i])
-        vx, vy = d_scalar(curve, Xi.V[i])
-        sig = Xi.sigma_t[i]
-        one = np.stack([Adot[0] - dbx - 1j * sig[0],
-                        Adot[1] - dby - 1j * sig[1]])
-        eta = _pair01(curve, Xi.Psi[i], Xi.Phi[i])
-        out.a[i] = _star1(curve, one) - np.stack([vx, vy]) \
-            - 1j * _im_form01(curve, eta)
-        grad_phi = dPhi[i] + Xi.b[i][None] * Xi.Phi[i]
-        out.phi[i] = -1j * grad_phi + _dbar_star(Xi, i, Xi.Psi[i]) \
-            - Xi.V[i][None] * Xi.Phi[i]
-        moment = star_d(curve, Xi.dev[i, 0], Xi.dev[i, 1]) \
-            - 0.5j * np.sum(np.abs(Xi.Phi[i]) ** 2, axis=0) \
-            + 1j * Xi.tau_grid
-        out.c[i] = ie2 * moment - dV[i] \
-            + 0.5j * curve.form_weight * np.sum(np.abs(Xi.Psi[i]) ** 2,
-                                                axis=0)
-        grad_psi = dPsi[i] + Xi.b[i][None] * Xi.Psi[i]
-        out.psi[i] = 1j * grad_psi + ie2 * _dbar(Xi, i, Xi.Phi[i]) \
-            - Xi.V[i][None] * Xi.Psi[i]
-    return out
+    Adot = d_t(Xi, Xi.dev, "form") \
+        + (-2j * math.pi * Xi.aref_dot)[:, :, None, None]
+    one = Adot - d_scalar(curve, Xi.b) - (1j * Xi.sigma_t)[:, :, None, None]
+    eta = _pair01(Xi.Psi, Xi.Phi)
+    a = _star1(curve, one) - d_scalar(curve, Xi.V) \
+        - 1j * _im_form01(curve, eta)
+    grad_phi = d_t(Xi, Xi.Phi, "section") + Xi.b[:, None] * Xi.Phi
+    phi = -1j * grad_phi + _dbar_star(Xi, Xi.Psi) - Xi.V[:, None] * Xi.Phi
+    moment = star_d(curve, Xi.dev[:, 0], Xi.dev[:, 1]) \
+        - 0.5j * np.sum(np.abs(Xi.Phi) ** 2, axis=1) + 1j * Xi.tau_grid
+    c = ie2 * moment - d_t(Xi, Xi.V, "scalar") \
+        + 0.5j * curve.form_weight * np.sum(np.abs(Xi.Psi) ** 2, axis=1)
+    grad_psi = d_t(Xi, Xi.Psi, "form01") + Xi.b[:, None] * Xi.Psi
+    psi = 1j * grad_psi + ie2 * _dbar(Xi, Xi.Phi) - Xi.V[:, None] * Xi.Psi
+    return Tangent3D(a=a, phi=phi, v=np.zeros_like(Xi.V), c=c, psi=psi)
 
 
 # -- operator blocks at a reference Xi (x = (a, phi), v, y = (c, psi)) ------
 
 def block_G(Xi: Config3D, v: np.ndarray):
-    a = np.empty_like(Xi.dev)
-    phi = np.empty_like(Xi.Phi)
-    for i in range(Xi.m):
-        dx, dy = d_scalar(Xi.curve, v[i])
-        a[i] = -np.stack([dx, dy])
-        phi[i] = v[i][None] * Xi.Phi[i]
-    return a, phi
+    return -d_scalar(Xi.curve, v), v[:, None] * Xi.Phi
 
 
 def block_Gstar(Xi: Config3D, a: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    out = np.empty_like(Xi.V)
-    for i in range(Xi.m):
-        pair = herm_im(Xi.Phi[i], phi[i])
-        out[i] = -d_star(Xi.curve, a[i, 0], a[i, 1]) - 1j * pair
-    return out
+    return -d_star(Xi.curve, a[:, 0], a[:, 1]) - 1j * herm_im(Xi.Phi, phi)
 
 
 def herm_im(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    return np.imag(np.sum(A * np.conj(B), axis=0))
+    return np.imag(_pair01(A, B))
 
 
 def herm_re(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    return np.real(np.sum(A * np.conj(B), axis=0))
+    return np.real(_pair01(A, B))
 
 
 def block_S(Xi: Config3D, a: np.ndarray, phi: np.ndarray):
-    c = np.empty_like(Xi.V)
-    psi = np.empty_like(Xi.Psi)
-    for i in range(Xi.m):
-        c[i] = star_d(Xi.curve, a[i, 0], a[i, 1]) \
-            - 1j * herm_re(Xi.Phi[i], phi[i])
-        qa = _q_of(Xi, a[i])
-        psi[i] = -qa[None] * Xi.Phi[i] - _dbar(Xi, i, phi[i])
+    c = star_d(Xi.curve, a[:, 0], a[:, 1]) - 1j * herm_re(Xi.Phi, phi)
+    psi = -_q_of(Xi, a)[:, None] * Xi.Phi - _dbar(Xi, phi)
     return c, psi
 
 
 def block_Sstar(Xi: Config3D, c: np.ndarray, psi: np.ndarray):
-    a = np.empty_like(Xi.dev)
-    phi = np.empty_like(Xi.Phi)
-    for i in range(Xi.m):
-        dcx, dcy = d_scalar(Xi.curve, c[i])
-        eta = _pair01(Xi.curve, psi[i], Xi.Phi[i])
-        a[i] = -_star1(Xi.curve, np.stack([dcx, dcy])) \
-            - 1j * _im_form01(Xi.curve, eta)
-        phi[i] = 1j * c[i][None] * Xi.Phi[i] - _dbar_star(Xi, i, psi[i])
+    eta = _pair01(psi, Xi.Phi)
+    a = -_star1(Xi.curve, d_scalar(Xi.curve, c)) \
+        - 1j * _im_form01(Xi.curve, eta)
+    phi = 1j * c[:, None] * Xi.Phi - _dbar_star(Xi, psi)
     return a, phi
 
 
@@ -469,37 +437,22 @@ def block_L(Xi: Config3D, v: np.ndarray):
 
 
 def block_Lstar(Xi: Config3D, c: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    out = d_t(Xi, c, "scalar")
-    fw = Xi.curve.form_weight
-    for i in range(Xi.m):
-        out[i] -= 1j * fw * herm_im(Xi.Psi[i], psi[i])
-    return out
+    return d_t(Xi, c, "scalar") \
+        - 1j * Xi.curve.form_weight * herm_im(Xi.Psi, psi)
 
 
 def block_M(Xi: Config3D, c: np.ndarray, psi: np.ndarray):
-    oc = np.empty_like(Xi.V)
-    dpsi = d_t(Xi, psi, "form01")
-    opsi = np.empty_like(Xi.Psi)
-    fw = Xi.curve.form_weight
-    for i in range(Xi.m):
-        oc[i] = 1j * fw * herm_re(Xi.Psi[i], psi[i])
-        grad = dpsi[i] + Xi.b[i][None] * psi[i]
-        opsi[i] = -1j * c[i][None] * Xi.Psi[i] - 1j * grad
-    return oc, opsi
+    oc = 1j * Xi.curve.form_weight * herm_re(Xi.Psi, psi)
+    grad = d_t(Xi, psi, "form01") + Xi.b[:, None] * psi
+    return oc, -1j * c[:, None] * Xi.Psi - 1j * grad
 
 
 def block_N(Xi: Config3D, a: np.ndarray, phi: np.ndarray):
-    oa = np.empty_like(Xi.dev)
-    da = d_t(Xi, a, "form")
-    dphi = d_t(Xi, phi, "section")
-    ophi = np.empty_like(Xi.Phi)
     w = Xi.curve.form_weight
-    for i in range(Xi.m):
-        eta = _pair01(Xi.curve, Xi.Psi[i], phi[i])
-        oa[i] = _star1(Xi.curve, da[i]) - 1j * _im_form01(Xi.curve, eta)
-        qa = _q_of(Xi, a[i])
-        grad = dphi[i] + Xi.b[i][None] * phi[i]
-        ophi[i] = -w * np.conj(qa)[None] * Xi.Psi[i] + 1j * grad
+    eta = _pair01(Xi.Psi, phi)
+    oa = _star1(Xi.curve, d_t(Xi, a, "form")) - 1j * _im_form01(Xi.curve, eta)
+    grad = d_t(Xi, phi, "section") + Xi.b[:, None] * phi
+    ophi = -w * np.conj(_q_of(Xi, a))[:, None] * Xi.Psi + 1j * grad
     return oa, ophi
 
 
@@ -536,21 +489,17 @@ def dsw_apply(Xi: Config3D, xi: Tangent3D, eps: float) -> Tangent3D:
 
 def quadratic_term(Xi: Config3D, xi: Tangent3D, eps: float) -> Tangent3D:
     """The Xi-independent quadratic remainder of the five-row map."""
-    curve = Xi.curve
     ie2 = 1.0 / eps ** 2
-    out = Tangent3D.zero(Xi)
-    w = curve.form_weight
-    for i in range(Xi.m):
-        eta = _pair01(curve, xi.psi[i], xi.phi[i])
-        out.a[i] = -1j * _im_form01(curve, eta)
-        qa = _q_of(Xi, xi.a[i])
-        out.phi[i] = w * np.conj(qa)[None] * xi.psi[i] \
-            - xi.v[i][None] * xi.phi[i] - 1j * xi.c[i][None] * xi.phi[i]
-        out.c[i] = -0.5j * ie2 * np.sum(np.abs(xi.phi[i]) ** 2, axis=0) \
-            + 0.5j * w * np.sum(np.abs(xi.psi[i]) ** 2, axis=0)
-        out.psi[i] = 1j * xi.c[i][None] * xi.psi[i] \
-            + ie2 * qa[None] * xi.phi[i] - xi.v[i][None] * xi.psi[i]
-    return out
+    w = Xi.curve.form_weight
+    qa = _q_of(Xi, xi.a)[:, None]
+    v, c = xi.v[:, None], xi.c[:, None]
+    return Tangent3D(
+        a=-1j * _im_form01(Xi.curve, _pair01(xi.psi, xi.phi)),
+        phi=w * np.conj(qa) * xi.psi - v * xi.phi - 1j * c * xi.phi,
+        v=np.zeros_like(xi.v),
+        c=-0.5j * ie2 * np.sum(np.abs(xi.phi) ** 2, axis=1)
+        + 0.5j * w * np.sum(np.abs(xi.psi) ** 2, axis=1),
+        psi=1j * c * xi.psi + ie2 * qa * xi.phi - v * xi.psi)
 
 
 # ---------------------------------------------------------------------------
@@ -700,12 +649,8 @@ class _ModePreconditioner:
     def __init__(self, Xi: Config3D, eps: float, delta: float = 1e-3):
         curve = Xi.curve
         self.Xi = Xi
-        R = Xi.seam.order
-        Mt = R * Xi.m
-        self.Mt = Mt
+        Mt = Xi.seam.order * Xi.m
         om = 2.0 * math.pi * Xi.m * np.fft.fftfreq(Mt)
-        M, K = curve.modes()
-        mu = curve.modulus
         lam0 = curve.lam((0.0, 0.0))
         zp = curve.dz_symbol()
         ie2 = 1.0 / eps ** 2
@@ -724,58 +669,39 @@ class _ModePreconditioner:
                       -1j * O, Z], axis=-1),
         ], axis=-2)
         A4 = A4 + delta * np.eye(4)
-        self.inv4 = np.linalg.inv(A4)
+        self.inv4 = np.linalg.inv(A4)          # (Mt, n, n, 4, 4)
         w = curve.form_weight
-        self.inv2 = []
-        for j in range(Xi.N):
-            lamj = curve.lam(Xi.twists[j])
-            Lj = np.broadcast_to(lamj, O.shape)
-            A2 = np.stack([
-                np.stack([1j * O, -w * np.conj(Lj)], axis=-1),
-                np.stack([-ie2 * Lj, -1j * O], axis=-1),
-            ], axis=-2)
-            A2 = A2 + delta * np.eye(2)
-            self.inv2.append(np.linalg.inv(A2))
+        O = om.reshape(-1, 1, 1, 1) * np.ones((1, Xi.N, n, n))
+        L = np.broadcast_to(curve.lam(Xi.twists), O.shape)
+        A2 = np.stack([
+            np.stack([1j * O, -w * np.conj(L)], axis=-1),
+            np.stack([-ie2 * L, -1j * O], axis=-1),
+        ], axis=-2)
+        A2 = A2 + delta * np.eye(2)
+        self.inv2 = np.linalg.inv(A2)          # (Mt, N, n, n, 2, 2)
 
     def apply(self, xi: Tangent3D) -> Tangent3D:
         Xi = self.Xi
         curve = Xi.curve
         m = Xi.m
+        tw = Xi.twists
         # unfold in t and transform all fields to mode space
         a_ext = _extend(Xi, xi.a, "form")
-        v_ext = _extend(Xi, xi.v, "scalar")
-        c_ext = _extend(Xi, xi.c, "scalar")
-        phi_ext = _extend(Xi, xi.phi, "section")
-        psi_ext = _extend(Xi, xi.psi, "form01")
         p, q = form_pq(curve, a_ext[:, 0], a_ext[:, 1])
-
-        def hat(arr, theta=(0.0, 0.0)):
-            ph = curve.twist_phase(theta)
-            return np.fft.fft(np.fft.fft2(arr * np.conj(ph), norm="forward"),
-                              axis=0)
-
-        def unhat(arr, theta=(0.0, 0.0)):
-            ph = curve.twist_phase(theta)
-            return np.fft.ifft2(np.fft.ifft(arr, axis=0),
-                                norm="forward") * ph
-
-        vec4 = np.stack([hat(p), hat(q), hat(v_ext), hat(c_ext)], axis=-1)
-        sol4 = np.einsum("tijab,tijb->tija", self.inv4, vec4)
-        p_s, q_s = unhat(sol4[..., 0]), unhat(sol4[..., 1])
-        v_s, c_s = unhat(sol4[..., 2]), unhat(sol4[..., 3])
-        ax, ay = form_xy(curve, p_s, q_s)
-        phi_s = np.empty_like(phi_ext)
-        psi_s = np.empty_like(psi_ext)
-        for j in range(Xi.N):
-            th = Xi.twists[j]
-            vec2 = np.stack([hat(phi_ext[:, j], th),
-                             hat(psi_ext[:, j], th)], axis=-1)
-            sol2 = np.einsum("tijab,tijb->tija", self.inv2[j], vec2)
-            phi_s[:, j] = unhat(sol2[..., 0], th)
-            psi_s[:, j] = unhat(sol2[..., 1], th)
-        return Tangent3D(a=np.stack([ax[:m], ay[:m]], axis=1),
-                         phi=phi_s[:m], v=v_s[:m], c=c_s[:m],
-                         psi=psi_s[:m])
+        vec4 = np.stack([p, q, _extend(Xi, xi.v, "scalar"),
+                         _extend(Xi, xi.c, "scalar")], axis=1)
+        vec2 = np.stack([_extend(Xi, xi.phi, "section"),
+                         _extend(Xi, xi.psi, "form01")], axis=1)
+        vec4 = np.fft.fft(curve.to_modes(vec4), axis=0)
+        vec2 = np.fft.fft(curve.to_modes(vec2, tw), axis=0)
+        sol4 = np.einsum("tijab,tbij->taij", self.inv4, vec4)
+        sol2 = np.einsum("tkijab,tbkij->takij", self.inv2, vec2)
+        p_s, q_s, v_s, c_s = np.moveaxis(
+            curve.from_modes(np.fft.ifft(sol4, axis=0)[:m]), 1, 0)
+        phi_s, psi_s = np.moveaxis(
+            curve.from_modes(np.fft.ifft(sol2, axis=0)[:m], tw), 1, 0)
+        return Tangent3D(a=np.stack(form_xy(curve, p_s, q_s), axis=1),
+                         phi=phi_s, v=v_s, c=c_s, psi=psi_s)
 
 
 def newton_refine(Xi0: Config3D, eps: float, tol: float = 1e-9,
@@ -793,6 +719,9 @@ def newton_refine(Xi0: Config3D, eps: float, tol: float = 1e-9,
     prev = math.inf
     increases = 0
     size = len(_pack(Tangent3D.zero(Xi0)))
+    # reads only the curve, the slices, the seam and the twists, which
+    # Newton updates leave unchanged
+    pre = _ModePreconditioner(Xi0, eps)
     for k in range(max_iter):
         R = sw_map(Xi, eps)
         res = weighted_norm(Xi, R, eps, 2, 0).value
@@ -811,7 +740,6 @@ def newton_refine(Xi0: Config3D, eps: float, tol: float = 1e-9,
         prev = res
         rhs = Tangent3D(a=-R.a, phi=R.phi, v=np.zeros_like(R.v), c=-R.c,
                         psi=R.psi)
-        pre = _ModePreconditioner(Xi, eps)
         Xi_k = Xi
 
         def mv(vec):
@@ -872,13 +800,11 @@ def random_tangent(Xi: Config3D, rng: np.random.Generator,
         acc = raw.copy()
         cur = raw
         for _ in range(R - 1):
-            rolled = np.roll(cur, m, axis=0)
-            cur = np.stack([Xi.seam.apply(rolled[i], kind)
-                            for i in range(Mt)])
+            cur = Xi.seam.apply(np.roll(cur, m, axis=0), kind)
             acc += cur
         return acc[:m] / R
 
-    tw = np.stack([Xi.curve.twist_phase(t) for t in Xi.twists])
+    tw = Xi.curve.twist_phase(Xi.twists)
     a = 1j * np.imag(equivariant("form", smooth(2)))
     v = 1j * np.imag(equivariant("scalar", smooth(1)[:, 0]))
     c = 1j * np.imag(equivariant("scalar", smooth(1)[:, 0]))
@@ -904,19 +830,21 @@ def identity_check(Xi: Config3D, samples: int = 10,
               - w <Psi,psi> Phi + (w/2) <psi,Phi>-bar Psi)
     under constant J; identities 0 and 1 hold pointwise on any Xi.
     """
+    if samples < 1:
+        raise ValueError("identity_check needs at least one sample")
     rng = np.random.default_rng(seed)
     curve = Xi.curve
     w = curve.form_weight
     out = {"identity0": 0.0, "identity1": 0.0, "identity2": 0.0}
     gPsi = _grad_t_section(Xi, Xi.Psi, "form01")
     gPhi = _grad_t_section(Xi, Xi.Phi, "section")
+    dbar_Psi = _dbar(Xi, Xi.Psi)
     for _ in range(samples):
         xi = random_tangent(Xi, rng)
         # identity0
         Mc, Mpsi = block_M(Xi, xi.c, xi.psi)
         lhs0 = block_Lstar(Xi, Mc, Mpsi)
-        rhs0 = np.stack([1j * w * herm_re(gPsi[i], xi.psi[i])
-                         for i in range(Xi.m)])
+        rhs0 = 1j * w * herm_re(gPsi, xi.psi)
         out["identity0"] = max(out["identity0"],
                                float(np.max(np.abs(lhs0 - rhs0))))
         # identity1
@@ -936,27 +864,17 @@ def identity_check(Xi: Config3D, samples: int = 10,
         lhs_a = N2a + G2a + S2a
         lhs_phi = N2phi + G2phi + S2phi
         # remainder
-        r_a = np.empty_like(lhs_a)
-        r_phi = np.empty_like(lhs_phi)
-        dpsi_grad = _grad_t_section(Xi, xi.psi, "form01")
-        for i in range(Xi.m):
-            wfun = w * np.sum(xi.psi[i] * np.conj(Xi.Psi[i]), axis=0)
-            dzw = curve.spectral(wfun, curve.dz_symbol()) \
-                + w * np.sum(xi.psi[i] * np.conj(_dbar(Xi, i, Xi.Psi[i])),
-                             axis=0)
-            r_a[i] = -1j * np.stack([np.imag(dzw),
-                                     np.imag(dzw * curve.modulus)])
-            eta1 = _pair01(curve, Xi.Psi[i], xi.psi[i])
-            eta2 = np.conj(_pair01(curve, xi.psi[i], Xi.Phi[i]))
-            r_phi[i] = (-2.0 * gPhi[i] + 1j * Xi.V[i][None] * Xi.Phi[i]) \
-                * xi.c[i][None] \
-                - w * eta1[None] * Xi.Phi[i] \
-                + 0.5 * w * eta2[None] * Xi.Psi[i]
-        gdbar = _grad_t_section(
-            Xi, np.stack([_dbar_star(Xi, i, xi.psi[i])
-                          for i in range(Xi.m)]), "section")
-        dbarg = np.stack([_dbar_star(Xi, i, dpsi_grad[i])
-                          for i in range(Xi.m)])
+        wfun = w * np.sum(xi.psi * np.conj(Xi.Psi), axis=1)
+        dzw = curve.spectral(wfun, curve.dz_symbol()) \
+            + w * np.sum(xi.psi * np.conj(dbar_Psi), axis=1)
+        r_a = -1j * np.stack([np.imag(dzw), np.imag(dzw * curve.modulus)],
+                             axis=1)
+        eta1 = _pair01(Xi.Psi, xi.psi)[:, None]
+        eta2 = np.conj(_pair01(xi.psi, Xi.Phi))[:, None]
+        r_phi = (-2.0 * gPhi + 1j * Xi.V[:, None] * Xi.Phi) * xi.c[:, None] \
+            - w * eta1 * Xi.Phi + 0.5 * w * eta2 * Xi.Psi
+        gdbar = _grad_t_section(Xi, _dbar_star(Xi, xi.psi), "section")
+        dbarg = _dbar_star(Xi, _grad_t_section(Xi, xi.psi, "form01"))
         r_phi += -1j * (gdbar - dbarg)
         out["identity2"] = max(out["identity2"],
                                float(np.max(np.abs(lhs_a - r_a))),

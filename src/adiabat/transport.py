@@ -80,20 +80,15 @@ def solve_psi(cfg: VortexConfig, q_dev: np.ndarray, rhs: np.ndarray,
     if rn == 0.0:
         return np.zeros(shape, complex)
     w = curve.form_weight
-    syms = np.stack([w * np.abs(curve.lam(cfg.twists[j]) + q_dev[j]) ** 2
-                     for j in range(N)])
+    syms = w * np.abs(curve.lam(cfg.twists) + q_dev.reshape(-1, 1, 1)) ** 2
     shift = 0.5 * float(np.mean(np.sum(np.abs(cfg.Phi) ** 2, axis=0))) + 1e-12
+    inv = 1.0 / (syms + shift)
 
     def mv(x):
         return apply_psi_operator(cfg, q_dev, x.reshape(shape)).ravel()
 
     def pre(x):
-        X = x.reshape(shape)
-        out = np.empty_like(X)
-        for j in range(N):
-            out[j] = curve.spectral(X[j], 1.0 / (syms[j] + shift),
-                                    cfg.twists[j])
-        return out.ravel()
+        return curve.spectral(x.reshape(shape), inv, cfg.twists).ravel()
 
     size = N * n * n
     op = LinearOperator((size, size), matvec=mv, dtype=complex)
@@ -219,6 +214,11 @@ def _advance(cfg: VortexConfig, family: FlatBundleFamily, t: float,
     return _advance(mid, family, t + h / 2, h / 2, tol, depth + 1)
 
 
+def _check_steps(steps: int) -> None:
+    if steps < 1:
+        raise ValueError("the number of transport steps must be at least 1")
+
+
 def transport(curve: FlatCurve, family: FlatBundleFamily,
               start: VortexConfig, steps: int,
               tol: float = 1e-6) -> TransportTrace:
@@ -227,6 +227,9 @@ def transport(curve: FlatCurve, family: FlatBundleFamily,
     Substeps are aligned with the family's breakpoints so piecewise-linear
     holonomy paths are integrated segment by segment with smooth data.
     """
+    _check_steps(steps)
+    if not tol > 0:
+        raise ValueError("moment tolerance must be positive")
     res0 = moment_residual(start, family.tau())
     if res0 > tol:
         raise TrackingLoss("start configuration violates the moment map",
@@ -286,6 +289,7 @@ def match_strands(family: FlatBundleFamily, finals: Iterable[np.ndarray],
     The final holonomy of strand k, pulled back through f*, is matched
     against the t = 0 holonomies -a_j(0) with toroidal tolerance 10 h^2.
     """
+    _check_steps(steps)
     F = np.array(family.mc.fstar.to_lists(), float)
     targets = wrap_twist(-family.holonomies(0.0))
     match_tol = 10.0 / steps ** 2

@@ -10,6 +10,16 @@ restore it.  A (0,1)-form is stored through its dz-bar coefficient q, a
 1-form through real components (alpha_x, alpha_y); the pointwise metric
 weight of dz-bar is Im(mu)/pi when area = 2 pi.
 
+Arrays.  The grid is always the last two axes.  Every spectral operator
+(``FlatCurve.spectral``, ``d_scalar``, ``star_d``, ``d_star`` and the
+Dolbeault operators) acts on (..., n, n) input, any leading axes being a
+stack such as the t-slices of a 3D configuration, with one 2D FFT over
+axes (-2, -1) per call.  Per-component data of an N-summand spinor is
+(..., N, n, n), with twists (N, 2) matched to axis -3.  Each curve builds
+its constants (grid, modes, derivative symbols) once, and the twist phase
+and Dolbeault symbol once per twist, on first use; they are returned as
+read-only arrays and live as long as the curve.
+
 The multi-vortex solve uses the complex-gauge substitution Phi = e^u Phi_0
 with Phi_0 = 1 in the active summand, reducing the moment-map equation to a
 scalar Kazdan-Warner-type equation Delta u + (1/2) e^{2u} - tau = 0 with
@@ -19,6 +29,7 @@ Delta positive semidefinite, solved by Newton iteration in Fourier space.
 from __future__ import annotations
 
 import cmath
+import functools
 import json
 import math
 from dataclasses import dataclass, field, replace
@@ -40,11 +51,37 @@ TWO_PI = 2.0 * math.pi
 # Curve and spectral helpers
 # ---------------------------------------------------------------------------
 
+# twists whose phase and symbol a curve keeps; the oldest is dropped first
+TWIST_CACHE_SIZE = 64
+
+
+def _read_only(arrs):
+    for a in arrs:
+        a.setflags(write=False)
+    return arrs
+
+
+def _curve_constant(build):
+    """Method decorator: build a curve constant once and keep it read-only."""
+    @functools.wraps(build)
+    def get(self):
+        hit = self._consts.get(build.__name__)
+        if hit is None:
+            hit = self._consts[build.__name__] = build(self)
+            _read_only(hit if isinstance(hit, tuple) else (hit,))
+        return hit
+    return get
+
+
 @dataclass(frozen=True)
 class FlatCurve:
     modulus: complex
     n: int
     area: float = TWO_PI
+    _consts: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
+    _twists: dict = field(default_factory=dict, init=False, repr=False,
+                          compare=False)
 
     def __post_init__(self):
         if self.n < 8 or self.n % 2:
@@ -65,39 +102,75 @@ class FlatCurve:
         """Pointwise metric norm of dz-bar: |dzbar|^2_g = 2 Im(mu) / area."""
         return 2.0 * self.imu / self.area
 
+    @_curve_constant
     def grid(self) -> Tuple[np.ndarray, np.ndarray]:
         c = np.arange(self.n) / self.n
-        return np.meshgrid(c, c, indexing="ij")
+        return tuple(np.meshgrid(c, c, indexing="ij"))
 
+    @_curve_constant
     def modes(self) -> Tuple[np.ndarray, np.ndarray]:
         m = np.fft.fftfreq(self.n, 1.0 / self.n)
-        return np.meshgrid(m, m, indexing="ij")
+        return tuple(np.meshgrid(m, m, indexing="ij"))
 
-    def twist_phase(self, theta: Sequence[float]) -> np.ndarray:
-        X, Y = self.grid()
-        return np.exp(2j * math.pi * (theta[0] * X + theta[1] * Y))
-
-    def lam(self, theta: Sequence[float]) -> np.ndarray:
-        """Dolbeault symbol: dbar e_{m,k} = lam * e_{m,k} dzbar."""
-        M, K = self.modes()
-        mu = self.modulus
-        return (math.pi / self.imu) * (mu * (M + theta[0]) - (K + theta[1]))
-
+    @_curve_constant
     def dz_symbol(self) -> np.ndarray:
         M, K = self.modes()
         return (math.pi / self.imu) * (K - np.conj(self.modulus) * M)
 
+    @_curve_constant
+    def grad_symbol(self) -> np.ndarray:
+        """(2, n, n) symbols of (d/dx, d/dy): 2 pi i M and 2 pi i K."""
+        return 2j * math.pi * np.stack(self.modes())
+
+    def _twisted(self, theta) -> Tuple[np.ndarray, np.ndarray]:
+        """(phase, lam) of one twist, built once per twist."""
+        key = (float(theta[0]), float(theta[1]))
+        hit = self._twists.get(key)
+        if hit is None:
+            if len(self._twists) >= TWIST_CACHE_SIZE:
+                del self._twists[next(iter(self._twists))]
+            X, Y = self.grid()
+            M, K = self.modes()
+            phase = np.exp(2j * math.pi * (key[0] * X + key[1] * Y))
+            lam = (math.pi / self.imu) * (self.modulus * (M + key[0])
+                                          - (K + key[1]))
+            hit = self._twists[key] = _read_only((phase, lam))
+        return hit
+
+    def _per_twist(self, theta, slot: int) -> np.ndarray:
+        t = np.asarray(theta, float)
+        if t.ndim == 1:
+            return self._twisted(t)[slot]
+        return np.stack([self._twisted(row)[slot] for row in t])
+
+    def twist_phase(self, theta) -> np.ndarray:
+        """exp(2 pi i theta . (x, y)): (n, n) for one twist, (N, n, n) for an
+        (N, 2) stack of twists."""
+        return self._per_twist(theta, 0)
+
+    def lam(self, theta) -> np.ndarray:
+        """Dolbeault symbol: dbar e_{m,k} = lam * e_{m,k} dzbar; (n, n) for
+        one twist, (N, n, n) for an (N, 2) stack of twists."""
+        return self._per_twist(theta, 1)
+
     # -- basic transforms --------------------------------------------------
 
-    def to_modes(self, vals: np.ndarray, theta=(0.0, 0.0)) -> np.ndarray:
-        return np.fft.fft2(vals * np.conj(self.twist_phase(theta)),
-                           norm="forward")
+    def to_modes(self, vals: np.ndarray, theta=None) -> np.ndarray:
+        if theta is not None:
+            vals = vals * np.conj(self.twist_phase(theta))
+        return np.fft.fft2(vals, norm="forward")
 
-    def from_modes(self, coef: np.ndarray, theta=(0.0, 0.0)) -> np.ndarray:
-        return np.fft.ifft2(coef, norm="forward") * self.twist_phase(theta)
+    def from_modes(self, coef: np.ndarray, theta=None) -> np.ndarray:
+        vals = np.fft.ifft2(coef, norm="forward")
+        return vals if theta is None else vals * self.twist_phase(theta)
 
     def spectral(self, vals: np.ndarray, symbol: np.ndarray,
-                 theta=(0.0, 0.0)) -> np.ndarray:
+                 theta=None) -> np.ndarray:
+        """Fourier multiplier ``symbol`` on (..., n, n) samples.
+
+        ``theta`` is None for untwisted functions, one twist, or an (N, 2)
+        stack of twists matched to axis -3 of ``vals``.
+        """
         return self.from_modes(symbol * self.to_modes(vals, theta), theta)
 
 
@@ -146,10 +219,8 @@ def form_xy(curve: FlatCurve, p: np.ndarray, q: np.ndarray):
 
 def star_d(curve: FlatCurve, ax: np.ndarray, ay: np.ndarray) -> np.ndarray:
     """Hodge star of d(alpha) for a 1-form: (dx ay - dy ax) / area."""
-    M, K = curve.modes()
-    dxay = curve.spectral(ay, 2j * math.pi * M)
-    dyax = curve.spectral(ax, 2j * math.pi * K)
-    return (dxay - dyax) / curve.area
+    d = curve.spectral(np.stack([ay, ax], axis=-3), curve.grad_symbol())
+    return (d[..., 0, :, :] - d[..., 1, :, :]) / curve.area
 
 
 def d_star(curve: FlatCurve, ax: np.ndarray, ay: np.ndarray) -> np.ndarray:
@@ -160,54 +231,48 @@ def d_star(curve: FlatCurve, ax: np.ndarray, ay: np.ndarray) -> np.ndarray:
     return -star_d(curve, sx, sy)
 
 
-def d_scalar(curve: FlatCurve, f: np.ndarray):
-    M, K = curve.modes()
-    return (curve.spectral(f, 2j * math.pi * M),
-            curve.spectral(f, 2j * math.pi * K))
+def d_scalar(curve: FlatCurve, f: np.ndarray) -> np.ndarray:
+    """(dx f, dy f) of functions f (..., n, n), stacked on axis -3, from one
+    forward transform of f."""
+    return curve.spectral(np.asarray(f)[..., None, :, :], curve.grad_symbol())
 
 
 # ---------------------------------------------------------------------------
 # Dolbeault operators on twisted sections
 # ---------------------------------------------------------------------------
 
-def _per_component(vals, twists):
-    vals = np.asarray(vals)
-    single = vals.ndim == 2
-    v = vals[None] if single else vals
-    t = np.atleast_2d(np.asarray(twists, float))
-    if len(t) != len(v):
+def _check_twists(vals, twists) -> np.ndarray:
+    """One twist for (..., n, n) input, or (N, 2) twists matched to axis -3."""
+    t = np.asarray(twists, float)
+    if t.ndim == 2 and (np.ndim(vals) < 3 or np.shape(vals)[-3] != len(t)):
         raise HolonomyMismatch("one twist vector per component is required",
-                               components=len(v), twists=len(t))
-    return v, t, single
+                               components=list(np.shape(vals)[:-2]),
+                               twists=len(t))
+    return t
 
 
 def dolbeault_apply(curve: FlatCurve, vals, twists, qbeta=None) -> np.ndarray:
     """dbar_{B,A} on twisted sections; returns the dzbar coefficient.
 
     ``qbeta`` is an optional connection deviation, the dzbar coefficient of
-    the (0,1)-part of the added connection form (per component or shared).
+    the (0,1)-part of the added connection form, broadcast against ``vals``
+    (per component, or shared by the components).
     """
-    v, t, single = _per_component(vals, twists)
-    out = np.empty_like(v)
-    for j in range(len(v)):
-        out[j] = curve.spectral(v[j], curve.lam(t[j]), t[j])
-        if qbeta is not None:
-            qb = qbeta[j] if np.ndim(qbeta) == 3 else qbeta
-            out[j] += qb * v[j]
-    return out[0] if single else out
+    t = _check_twists(vals, twists)
+    out = curve.spectral(vals, curve.lam(t), t)
+    if qbeta is not None:
+        out = out + qbeta * vals
+    return out
 
 
 def dolbeault_adjoint(curve: FlatCurve, vals, twists, qbeta=None) -> np.ndarray:
     """L2 adjoint of dolbeault_apply: (0,1)-forms to sections."""
-    v, t, single = _per_component(vals, twists)
+    t = _check_twists(vals, twists)
     w = curve.form_weight
-    out = np.empty_like(v)
-    for j in range(len(v)):
-        out[j] = curve.spectral(v[j], w * np.conj(curve.lam(t[j])), t[j])
-        if qbeta is not None:
-            qb = qbeta[j] if np.ndim(qbeta) == 3 else qbeta
-            out[j] += w * np.conj(qb) * v[j]
-    return out[0] if single else out
+    out = curve.spectral(vals, w * np.conj(curve.lam(t)), t)
+    if qbeta is not None:
+        out = out + w * np.conj(qbeta) * vals
+    return out
 
 
 def flat_deviation_q(curve: FlatCurve, delta_a) -> complex:
@@ -425,8 +490,10 @@ def _kw_newton(curve: FlatCurve, tau_g: np.ndarray, tol: float,
                max_iter: int = 60):
     """Solve Delta u + (1/2) e^{2u} - tau = 0; returns (u, increments)."""
     sym = _kw_laplacian_symbol(curve)
-    # roundoff floor of the spectral Laplacian grows with the top symbol
-    tol = max(tol, 8.0 * np.finfo(float).eps * float(np.max(sym)))
+    # round-off floor of the residual: the spectral Laplacian's grows with
+    # the top symbol, that of (1/2) e^{2u} - tau with tau
+    tol = max(tol, 8.0 * np.finfo(float).eps
+              * (float(np.max(sym)) + float(np.max(np.abs(tau_g)))))
     tau_bar = float(np.mean(tau_g))
     u = np.full((curve.n, curve.n), 0.5 * math.log(2.0 * tau_bar))
     n2 = curve.n * curve.n

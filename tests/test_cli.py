@@ -57,6 +57,14 @@ class TestParsing:
         (["vortex", "--holonomies", "0.1,0.2", "--modulus", "0", "inf"], 1),
         (["vortex", "--holonomies", "0.1,0.2", "--tau", "nan"], 1),
         (["newton", "--braid", "{braid}", "--eps", "0.2,nan"], 1),
+        (["vortex", "--holonomies", "0.1,0.2", "--tau", "1e4"], 0),
+        (["transport", "--braid", "{braid}", "--grid", "8", "--tsteps", "0"],
+         1),
+        (["transport", "--braid", "{braid}", "--grid", "8", "--tsteps", "20",
+          "--tolerance", "-1"], 1),
+        (["newton", "--braid", "{braid}", "--grid", "8", "--slices", "0"], 1),
+        (["check-identities", "--braid", "{braid}", "--grid", "8",
+          "--samples", "0"], 1),
     ])
     def test_numeric_input_checked_and_json_strict(self, capsys, braid_file,
                                                    argv, code):

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from adiabat.monopole import (Tangent3D, adiabatic_config,
-                              adiabatic_residual, config_norm_diff,
+                              adiabatic_residual, assemble_adiabatic,
+                              config_norm_diff,
                               config_update, dsw_apply, identity_check, ip3,
                               linearize_apply,
                               newton_refine, quadratic_term, random_tangent,
                               save_config3d, sw_map, weighted_norm)
+from adiabat.transport import transported
 from adiabat.vortexfield import FlatCurve, smooth_family
 
 MU = 0.2 + 1.0j
@@ -22,6 +24,12 @@ def Xi():
 class TestAssembly:
     def test_assembly_residual_small(self, Xi):
         assert adiabatic_residual(Xi, 0.2) < 1e-6
+
+    def test_rejects_no_slices(self):
+        family = smooth_family()
+        trace = transported(FlatCurve(MU, 8), family, 0, 32)
+        with pytest.raises(ValueError):
+            assemble_adiabatic(trace, family, 0)
 
     def test_sw_norm_scales_linearly_in_eps(self, Xi):
         vals = [weighted_norm(Xi, sw_map(Xi, e), e).value for e in (0.2, 0.1)]
@@ -79,6 +87,10 @@ class TestLinearization:
 
 
 class TestIdentities:
+    def test_needs_a_sample(self, Xi):
+        with pytest.raises(ValueError):
+            identity_check(Xi, samples=0)
+
     def test_structural_identities(self, Xi):
         out = identity_check(Xi, samples=6, seed=3)
         assert out["identity0"] < 1e-8

@@ -3,10 +3,12 @@
 import json
 
 import numpy as np
+import pytest
 
 from adiabat.braid import braid_permutation
-from adiabat.transport import (apply_psi_operator, numeric_monodromy,
-                               solve_psi, transported)
+from adiabat.transport import (apply_psi_operator, match_strands,
+                               numeric_monodromy, solve_psi, transport,
+                               transported)
 from adiabat.vortexfield import (FlatBundleFamily, FlatCurve, smooth_family,
                                  vortex_solve)
 
@@ -50,6 +52,20 @@ class TestTransport:
         e2 = float(np.max(np.abs(hol_at_end(40) - ref)))
         order = np.log2(e1 / e2)
         assert 3.3 < order < 5.0
+
+    @pytest.mark.parametrize("steps, tol", [(0, 1e-6), (-3, 1e-6),
+                                            (20, 0.0), (20, -1.0)])
+    def test_rejects_bad_steps_and_tolerance(self, steps, tol):
+        curve = FlatCurve(MU, 8)
+        family = smooth_family()
+        start, _ = vortex_solve(curve, family.holonomies(0.0), 0, 2.0)
+        with pytest.raises(ValueError):
+            transport(curve, family, start, steps, tol)
+
+    def test_match_strands_rejects_zero_steps(self):
+        family = smooth_family()
+        with pytest.raises(ValueError):
+            match_strands(family, [-family.holonomies(0.0)[0]], 0)
 
     def test_trace_jsonl(self):
         curve = FlatCurve(MU, 16)

@@ -5,12 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from adiabat.errors import NoHolomorphicSection
-from adiabat.vortexfield import (FlatBundleFamily, FlatCurve,
-                                 dolbeault_adjoint, dolbeault_apply, integral,
-                                 ip_form01, ip_section, load_field,
+from adiabat.errors import HolonomyMismatch, NoHolomorphicSection
+from adiabat.vortexfield import (FlatBundleFamily, FlatCurve, d_scalar,
+                                 d_star, dolbeault_adjoint, dolbeault_apply,
+                                 integral, ip_form01, ip_section, load_field,
                                  moment_residual, save_field, smooth_family,
-                                 vortex_solve, wrap_twist)
+                                 star_d, vortex_solve, wrap_twist)
 
 MU = 0.2 + 1.0j
 
@@ -77,6 +77,76 @@ class TestDolbeault:
         assert np.min(np.abs(lam)) > 1e-3
 
 
+class TestBatchedOperators:
+    """Each operator on an (m, N, n, n) stack matches it slice by slice."""
+
+    M, N, n = 3, 2, 8
+    TWISTS = np.array([[0.23, 0.11], [-0.4, 0.3]])
+
+    @pytest.fixture()
+    def stack(self):
+        rng = np.random.default_rng(17)
+        shape = (self.M, self.N, self.n, self.n)
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    @staticmethod
+    def slicewise(fn, *arrs):
+        """fn applied to each (n, n) slice of the (m, N, n, n) inputs."""
+        m, N = arrs[0].shape[:2]
+        return [[fn(*(a[i, j] for a in arrs)) for j in range(N)]
+                for i in range(m)]
+
+    @staticmethod
+    def assert_matches(got, slices):
+        want = np.array(slices)
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) < 1e-13
+
+    def test_spectral(self, stack):
+        curve = FlatCurve(MU, self.n)
+        sym = curve.dz_symbol()
+        self.assert_matches(curve.spectral(stack, sym), self.slicewise(
+            lambda f: curve.spectral(f, sym), stack))
+
+    def test_d_scalar(self, stack):
+        curve = FlatCurve(MU, self.n)
+        self.assert_matches(d_scalar(curve, stack), self.slicewise(
+            lambda f: d_scalar(curve, f), stack))
+
+    @pytest.mark.parametrize("op", [star_d, d_star])
+    def test_one_form_operators(self, stack, op):
+        curve = FlatCurve(MU, self.n)
+        ay = stack[::-1].copy()
+        self.assert_matches(op(curve, stack, ay), self.slicewise(
+            lambda ax, ay: op(curve, ax, ay), stack, ay))
+
+    @pytest.mark.parametrize("op", [dolbeault_apply, dolbeault_adjoint])
+    def test_dolbeault(self, stack, op):
+        curve = FlatCurve(MU, self.n)
+        q = 0.3 * stack[:, :1] + 0.1j
+        got = op(curve, stack, self.TWISTS, qbeta=q)
+        want = [[op(curve, stack[i, j], self.TWISTS[j], qbeta=q[i, 0])
+                 for j in range(self.N)] for i in range(self.M)]
+        self.assert_matches(got, want)
+
+    def test_dolbeault_twist_count_checked(self, stack):
+        curve = FlatCurve(MU, self.n)
+        with pytest.raises(HolonomyMismatch):
+            dolbeault_apply(curve, stack, self.TWISTS[:1])
+
+    def test_cached_constants_read_only(self):
+        curve = FlatCurve(MU, self.n)
+        arrays = [*curve.grid(), *curve.modes(), curve.dz_symbol(),
+                  curve.lam((0.23, 0.11)), curve.twist_phase((0.23, 0.11))]
+        for arr in arrays:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0, 0] = 0.0
+        # built once per curve and once per twist
+        assert curve.grid()[0] is curve.grid()[0]
+        assert curve.lam((0.23, 0.11)) is curve.lam(np.array([0.23, 0.11]))
+
+
 class TestVortexSolve:
     HOL = np.array([[0.13, -0.21], [-0.32, 0.05]])
 
@@ -128,6 +198,13 @@ class TestVortexSolve:
         cfg, _ = vortex_solve(curve, self.HOL, 1, 2.0)
         assert np.max(np.abs(cfg.Phi[0])) == 0
         assert np.max(np.abs(cfg.Phi[1])) > 0
+
+    def test_large_tau_converges(self):
+        # the residual's round-off floor grows with tau
+        curve = FlatCurve(MU, 16)
+        for tau in (1e4, 1e6):
+            cfg, _ = vortex_solve(curve, [[0.1, 0.2]], 0, tau)
+            assert moment_residual(cfg, tau) < 1e-12 * tau
 
     def test_zeta_mismatch_rejected(self):
         curve = FlatCurve(MU, 16)
