@@ -27,7 +27,8 @@ from .braid import (TorusBraid, braid_census, braid_construct,
                     braid_validate)
 from .vortexfield import (FlatBundleFamily, FlatCurve, moment_residual,
                           save_vortex_config, vortex_solve)
-from .transport import match_strands, transported
+from .transport import (TransportTrace, match_strands, transport_stack,
+                        vortex_seed)
 from .monopole import (adiabatic_config, config_norm_diff, identity_check,
                        newton_refine, save_config3d, sw_map, weighted_norm)
 
@@ -193,15 +194,17 @@ def cmd_transport(args) -> int:
     braid = _load_braid(args.braid)
     family = FlatBundleFamily.from_braid(braid, tau_bar=args.tau)
     curve = _curve(args)
-    # the same per-strand runs as numeric_monodromy, kept so that strand 0's
-    # trace is written without transporting it again
-    traces = [transported(curve, family, k, args.tsteps, args.tolerance)
-              for k in range(family.N)]
-    perm = match_strands(family, [tr.final.holonomy for tr in traces],
-                         args.tsteps)
+    # the stacked run of numeric_monodromy, keeping strand 0's states so
+    # that its trace is written without transporting it again
+    starts = [vortex_seed(curve, family, k) for k in range(family.N)]
+    strand0 = []
+    for states in transport_stack(curve, family, starts, args.tsteps,
+                                  args.tolerance):
+        strand0.append(states[0])
+    perm = match_strands(family, [s.holonomy for s in states], args.tsteps)
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write(traces[0].to_jsonl())
+            fh.write(TransportTrace(strand0).to_jsonl())
     report = {"permutation": list(perm),
               "braid_permutation": list(braid.closing_permutation),
               "match": list(perm) == list(braid.closing_permutation)}

@@ -29,7 +29,7 @@ from scipy.sparse.linalg import LinearOperator, gmres
 
 from .errors import (Divergence, LinearSolveFailure, NonConvergence,
                      PeriodicityMismatch)
-from .transport import TransportTrace, aux_spinor, transported
+from .transport import TransportTrace, VortexStack, aux_spinor, transported
 from .vortexfield import (FlatBundleFamily, FlatCurve, _tau_grid, d_scalar,
                           d_star, dolbeault_adjoint, dolbeault_apply,
                           flat_deviation_q, form_pq, form_xy, save_field,
@@ -285,7 +285,8 @@ def assemble_adiabatic(trace: TransportTrace, family: FlatBundleFamily,
     """Build the adiabatic 3D configuration Xi_0 (V = 0, b = 0) from a trace.
 
     The trace must contain states at the slice times i/m; Psi is recomputed
-    at each slice from the elliptic equation.  The t = 1 end state must
+    at the slices from the elliptic equation, all slices in one stacked
+    solve.  The t = 1 end state must
     match the seam image of the t = 0 slice, otherwise the closing gauge
     cannot be realized on the grid.
     """
@@ -300,30 +301,28 @@ def assemble_adiabatic(trace: TransportTrace, family: FlatBundleFamily,
     base = family.holonomies(0.0)
     dev = np.empty((m, 2, n, n), complex)
     Phi = np.empty((m, N, n, n), complex)
-    Psi = np.empty((m, N, n, n), complex)
     cq = np.empty((m, N), complex)
     aref_dot = np.empty((m, 2))
     sigma_t = np.empty((m, 2))
     twists = trace.states[0].cfg.twists
-    for i in range(m):
-        t = i / m
+    ref = np.empty((m, 2))
+    ts = [i / m for i in range(m)]
+    for i, t in enumerate(ts):
         key = round(t * 1e7)
         if key not in states or abs(states[key].t - t) > 1e-9:
             raise PeriodicityMismatch(
                 "trace does not sample the slice times i/m", missing_t=t)
-        st = states[key]
-        cfg = st.cfg
+        cfg = states[key].cfg
         hol = family.holonomies(t)
-        ref = -TWO_PI * (hol[k0] - base[k0])
-        dev[i, 0] = cfg.alpha[0] - 1j * ref[0]
-        dev[i, 1] = cfg.alpha[1] - 1j * ref[1]
+        ref[i] = -TWO_PI * (hol[k0] - base[k0])
+        dev[i] = cfg.alpha
         Phi[i] = cfg.Phi
-        for j in range(N):
-            cq[i, j] = flat_deviation_q(
-                curve, (hol[j] - base[j]) - (hol[k0] - base[k0]))
+        cq[i] = flat_deviation_q(curve, (hol - base) - (hol[k0] - base[k0]))
         aref_dot[i] = family.paths[k0].deriv(t)
         sigma_t[i] = family.sigma(t)
-        Psi[i] = aux_spinor(cfg, family, t)[1]
+    Psi = aux_spinor(VortexStack(curve, dev, Phi, twists), family, ts)[1]
+    # dev holds the slices' alpha until the Psi solve has read it
+    dev -= 1j * ref[:, :, None, None]
     Xi = Config3D(curve=curve, family=family, m=m, dev=dev, Phi=Phi,
                   V=np.zeros((m, n, n), complex),
                   b=np.zeros((m, n, n), complex), Psi=Psi, seam=seam,
@@ -833,53 +832,60 @@ def identity_check(Xi: Config3D, samples: int = 10,
     if samples < 1:
         raise ValueError("identity_check needs at least one sample")
     rng = np.random.default_rng(seed)
+    fixed = (_grad_t_section(Xi, Xi.Psi, "form01"),
+             _grad_t_section(Xi, Xi.Phi, "section"), _dbar(Xi, Xi.Psi))
+    out = (0.0, 0.0, 0.0)
+    for _ in range(samples):
+        res = _identity_residuals(Xi, random_tangent(Xi, rng), *fixed)
+        out = tuple(max(a, b) for a, b in zip(out, res))
+    return {f"identity{i}": r for i, r in enumerate(out)}
+
+
+def _identity_residuals(Xi: Config3D, xi: Tangent3D, gPsi: np.ndarray,
+                        gPhi: np.ndarray,
+                        dbar_Psi: np.ndarray) -> Tuple[float, float, float]:
+    """The three identity residuals of ``identity_check`` at one tangent.
+
+    Each block value is an (m, 2, n, n) or (m, N, n, n) stack; the sums
+    are formed in place and the names reused, so that few stacks are alive
+    at once.
+    """
     curve = Xi.curve
     w = curve.form_weight
-    out = {"identity0": 0.0, "identity1": 0.0, "identity2": 0.0}
-    gPsi = _grad_t_section(Xi, Xi.Psi, "form01")
-    gPhi = _grad_t_section(Xi, Xi.Phi, "section")
-    dbar_Psi = _dbar(Xi, Xi.Psi)
-    for _ in range(samples):
-        xi = random_tangent(Xi, rng)
-        # identity0
-        Mc, Mpsi = block_M(Xi, xi.c, xi.psi)
-        lhs0 = block_Lstar(Xi, Mc, Mpsi)
-        rhs0 = 1j * w * herm_re(gPsi, xi.psi)
-        out["identity0"] = max(out["identity0"],
-                               float(np.max(np.abs(lhs0 - rhs0))))
-        # identity1
-        Ga, Gphi = block_G(Xi, xi.v)
-        Na, Nphi = block_N(Xi, Ga, Gphi)
-        Lc, Lpsi = block_L(Xi, xi.v)
-        Sa, Sphi = block_Sstar(Xi, Lc, Lpsi)
-        out["identity1"] = max(out["identity1"],
-                               float(np.max(np.abs(Na + Sa))),
-                               float(np.max(np.abs(Nphi + Sphi))))
-        # identity2
-        Ssa, Ssphi = block_Sstar(Xi, xi.c, xi.psi)
-        N2a, N2phi = block_N(Xi, Ssa, Ssphi)
-        Ls = block_Lstar(Xi, xi.c, xi.psi)
-        G2a, G2phi = block_G(Xi, Ls)
-        S2a, S2phi = block_Sstar(Xi, Mc, Mpsi)
-        lhs_a = N2a + G2a + S2a
-        lhs_phi = N2phi + G2phi + S2phi
-        # remainder
-        wfun = w * np.sum(xi.psi * np.conj(Xi.Psi), axis=1)
-        dzw = curve.spectral(wfun, curve.dz_symbol()) \
-            + w * np.sum(xi.psi * np.conj(dbar_Psi), axis=1)
-        r_a = -1j * np.stack([np.imag(dzw), np.imag(dzw * curve.modulus)],
-                             axis=1)
-        eta1 = _pair01(Xi.Psi, xi.psi)[:, None]
-        eta2 = np.conj(_pair01(xi.psi, Xi.Phi))[:, None]
-        r_phi = (-2.0 * gPhi + 1j * Xi.V[:, None] * Xi.Phi) * xi.c[:, None] \
-            - w * eta1 * Xi.Phi + 0.5 * w * eta2 * Xi.Psi
-        gdbar = _grad_t_section(Xi, _dbar_star(Xi, xi.psi), "section")
-        dbarg = _dbar_star(Xi, _grad_t_section(Xi, xi.psi, "form01"))
-        r_phi += -1j * (gdbar - dbarg)
-        out["identity2"] = max(out["identity2"],
-                               float(np.max(np.abs(lhs_a - r_a))),
-                               float(np.max(np.abs(lhs_phi - r_phi))))
-    return out
+    # identity0
+    M = block_M(Xi, xi.c, xi.psi)
+    id0 = float(np.max(np.abs(block_Lstar(Xi, *M)
+                              - 1j * w * herm_re(gPsi, xi.psi))))
+    # identity1: N G v + S* L v = 0
+    lhs_a, lhs_phi = block_N(Xi, *block_G(Xi, xi.v))
+    a, phi = block_Sstar(Xi, *block_L(Xi, xi.v))
+    lhs_a += a
+    lhs_phi += phi
+    id1 = max(float(np.max(np.abs(lhs_a))), float(np.max(np.abs(lhs_phi))))
+    # identity2: N S* y + G L* y + S* M y = R_Xi y
+    lhs_a, lhs_phi = block_N(Xi, *block_Sstar(Xi, xi.c, xi.psi))
+    a, phi = block_G(Xi, block_Lstar(Xi, xi.c, xi.psi))
+    lhs_a += a
+    lhs_phi += phi
+    a, phi = block_Sstar(Xi, *M)
+    lhs_a += a
+    lhs_phi += phi
+    # remainder
+    wfun = w * np.sum(xi.psi * np.conj(Xi.Psi), axis=1)
+    dzw = curve.spectral(wfun, curve.dz_symbol()) \
+        + w * np.sum(xi.psi * np.conj(dbar_Psi), axis=1)
+    r_a = -1j * np.stack([np.imag(dzw), np.imag(dzw * curve.modulus)],
+                         axis=1)
+    eta1 = _pair01(Xi.Psi, xi.psi)[:, None]
+    eta2 = np.conj(_pair01(xi.psi, Xi.Phi))[:, None]
+    r_phi = (-2.0 * gPhi + 1j * Xi.V[:, None] * Xi.Phi) * xi.c[:, None] \
+        - w * eta1 * Xi.Phi + 0.5 * w * eta2 * Xi.Psi
+    gdbar = _grad_t_section(Xi, _dbar_star(Xi, xi.psi), "section")
+    dbarg = _dbar_star(Xi, _grad_t_section(Xi, xi.psi, "form01"))
+    r_phi += -1j * (gdbar - dbarg)
+    id2 = max(float(np.max(np.abs(lhs_a - r_a))),
+              float(np.max(np.abs(lhs_phi - r_phi))))
+    return id0, id1, id2
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,12 @@ beta_j being the evolving connection on summand j (the stored iR-valued
 1-form alpha plus the flat deviation 2 pi i (a_j(t) - a_j(0)) (dx,dy)).
 Integration is classical RK4 in the b = 0 gauge with substeps aligned to
 the family's breakpoints; the moment-map residual is the step acceptance
-criterion.  Monodromy matching uses the gauge-invariant holonomy.
+criterion.  One integrator advances a stack of K starts of one family
+together (the strands of a braid; a single start is K = 1): each RK stage
+solves the K Psi equations with one batched conjugate-gradient run, and
+only the starts whose step fails the residual test are redone in halves,
+so every start takes the steps it would take alone.  Monodromy matching
+uses the gauge-invariant holonomy.
 """
 
 from __future__ import annotations
@@ -21,111 +26,186 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, List, Tuple
+from typing import Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, cg
 
 from .braid import TorusBraid, braid_validate
 from .errors import (AmbiguousMatch, SingularOperator, TrackingLoss)
-from .vortexfield import (FlatBundleFamily, FlatCurve, VortexConfig,
-                          dolbeault_adjoint, dolbeault_apply,
-                          flat_deviation_q, moment_residual,
-                          toroidal_distance, vortex_solve, wrap_twist)
+from .vortexfield import (TWO_PI, FlatBundleFamily, FlatCurve, VortexConfig,
+                          _tau_grid, flat_deviation_q, form_pq,
+                          moment_residuals, toroidal_distance, vortex_solve,
+                          wrap_twist)
 
 
-def q_const_real(curve: FlatCurve, v) -> complex:
-    """dzbar coefficient of the constant real 1-form v_x dx + v_y dy."""
+# conjugate-gradient iterations a Psi solve may take
+PSI_MAXITER = 2000
+
+
+def q_const_real(curve: FlatCurve, v) -> np.ndarray:
+    """dzbar coefficient of the constant real 1-form v_x dx + v_y dy, for
+    one v (2,) or a stack (..., 2)."""
     v = np.asarray(v, float)
     mu = curve.modulus
-    return complex((mu * v[0] - v[1]) / (2j * curve.imu))
+    return (mu * v[..., 0] - v[..., 1]) / (2j * curve.imu)
+
+
+@dataclass(frozen=True)
+class VortexStack:
+    """Configurations of one family on one curve, stacked on axis 0.
+
+    ``alpha`` is (K, 2, n, n), the components (alpha_x, alpha_y); ``Phi`` is
+    (K, N, n, n); ``twists`` is (K, N, 2), or (N, 2) when the
+    configurations share their twists.
+    """
+
+    curve: FlatCurve
+    alpha: np.ndarray
+    Phi: np.ndarray
+    twists: np.ndarray
+
+    @staticmethod
+    def of(cfgs: Sequence[VortexConfig]) -> "VortexStack":
+        return VortexStack(cfgs[0].curve,
+                           np.stack([np.stack(c.alpha) for c in cfgs]),
+                           np.stack([c.Phi for c in cfgs]),
+                           np.stack([c.twists for c in cfgs]))
 
 
 # ---------------------------------------------------------------------------
 # The auxiliary spinor solve
 # ---------------------------------------------------------------------------
 
-def _component_q(cfg: VortexConfig, family: FlatBundleFamily,
-                 t: float) -> np.ndarray:
-    """Per-component dzbar connection deviation at time t (constants)."""
-    base = family.holonomies(0.0)
-    now = family.holonomies(t)
-    return np.array([flat_deviation_q(cfg.curve, now[j] - base[j])
-                     for j in range(cfg.N)])
+class PsiOperator:
+    """dbar_beta dbar_beta* + (1/2) <., Phi> Phi for each configuration of a
+    stack, beta being alpha plus the flat deviations ``q_dev``: (N,) shared
+    by the stack, or (K, N).
 
-
-def apply_psi_operator(cfg: VortexConfig, q_dev: np.ndarray,
-                       Psi: np.ndarray) -> np.ndarray:
-    """dbar dbar* Psi + (1/2) <Psi, Phi> Phi with connection beta."""
-    curve = cfg.curve
-    q = cfg.q_alpha()[None] + q_dev.reshape(-1, 1, 1)
-    s = dolbeault_adjoint(curve, Psi, cfg.twists, qbeta=q)
-    out = dolbeault_apply(curve, s, cfg.twists, qbeta=q)
-    pair = np.sum(Psi * np.conj(cfg.Phi), axis=0)
-    return out + 0.5 * pair[None] * cfg.Phi
-
-
-def solve_psi(cfg: VortexConfig, q_dev: np.ndarray, rhs: np.ndarray,
-              rtol: float = 1e-12) -> np.ndarray:
-    """Solve the Psi equation by preconditioned conjugate gradients.
-
-    The operator is Hermitian positive definite at regular parameters
-    (Phi not identically zero); the preconditioner inverts the flat-part
-    Fourier symbol plus the mean density shift.
+    The symbols, the connection terms and the preconditioner are built once
+    and serve every product of a solve.  The preconditioner inverts the
+    flat-part Fourier symbol plus the mean density shift.
     """
-    curve = cfg.curve
-    N, n = cfg.N, curve.n
-    shape = (N, n, n)
-    rn = float(np.max(np.abs(rhs)))
-    if rn == 0.0:
-        return np.zeros(shape, complex)
-    w = curve.form_weight
-    syms = w * np.abs(curve.lam(cfg.twists) + q_dev.reshape(-1, 1, 1)) ** 2
-    shift = 0.5 * float(np.mean(np.sum(np.abs(cfg.Phi) ** 2, axis=0))) + 1e-12
-    inv = 1.0 / (syms + shift)
 
-    def mv(x):
-        return apply_psi_operator(cfg, q_dev, x.reshape(shape)).ravel()
+    def __init__(self, stack: VortexStack, q_dev):
+        curve = self.curve = stack.curve
+        w = curve.form_weight
+        q_dev = np.asarray(q_dev)[..., None, None]
+        self.twists = stack.twists
+        self.Phi = stack.Phi
+        self.Phi_conj = np.conj(stack.Phi)
+        self.lam = curve.lam(stack.twists)
+        self.lam_adj = w * np.conj(self.lam)
+        q_alpha = form_pq(curve, stack.alpha[:, 0], stack.alpha[:, 1])[1]
+        self.q = q_alpha[:, None] + q_dev
+        self.q_adj = w * np.conj(self.q)
+        dens = np.sum(np.abs(stack.Phi) ** 2, axis=-3)
+        shift = 0.5 * np.mean(dens, axis=(-2, -1)) + 1e-12
+        self.inv = 1.0 / (w * np.abs(self.lam + q_dev) ** 2
+                          + shift[:, None, None, None])
 
-    def pre(x):
-        return curve.spectral(x.reshape(shape), inv, cfg.twists).ravel()
+    def adjoint(self, Psi: np.ndarray) -> np.ndarray:
+        """dbar_beta* Psi."""
+        out = self.curve.spectral(Psi, self.lam_adj, self.twists)
+        out += self.q_adj * Psi
+        return out
 
-    size = N * n * n
-    op = LinearOperator((size, size), matvec=mv, dtype=complex)
-    M = LinearOperator((size, size), matvec=pre, dtype=complex)
-    sol, info = cg(op, rhs.ravel(), rtol=rtol, atol=0.0, M=M, maxiter=2000)
-    if info != 0:
-        raise SingularOperator(
-            "auxiliary spinor solve stalled (wall or irregular parameter)",
-            cg_info=int(info))
-    return sol.reshape(shape)
-
-
-def aux_spinor(cfg: VortexConfig, family: FlatBundleFamily, t: float):
-    """(q_dev, Psi): the connection deviations at time t and the auxiliary
-    spinor solving the Psi equation there."""
-    curve = cfg.curve
-    q_dev = _component_q(cfg, family, t)
-    adot = family.velocities(t)
-    q_sig = q_const_real(curve, np.asarray(family.sigma(t), float))
-    rhs = np.empty_like(cfg.Phi)
-    for j in range(cfg.N):
-        rhs[j] = (q_sig + q_const_real(curve, 2.0 * math.pi * adot[j])) \
-            * cfg.Phi[j]
-    return q_dev, solve_psi(cfg, q_dev, rhs)
+    def precondition(self, r: np.ndarray) -> np.ndarray:
+        return self.curve.spectral(r, self.inv, self.twists)
 
 
-def _velocities(cfg: VortexConfig, family: FlatBundleFamily, t: float):
+def apply_psi_operator(op: PsiOperator, Psi: np.ndarray) -> np.ndarray:
+    """dbar dbar* Psi + (1/2) <Psi, Phi> Phi with connection beta."""
+    s = op.adjoint(Psi)
+    out = op.curve.spectral(s, op.lam, op.twists)
+    out += op.q * s
+    pair = np.sum(Psi * op.Phi_conj, axis=-3)
+    out += 0.5 * pair[:, None] * op.Phi
+    return out
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """<a, b> of each system of a (K, N, n, n) stack, a conjugated."""
+    return np.vecdot(a.reshape(len(a), -1), b.reshape(len(b), -1))
+
+
+def solve_psi(op: PsiOperator, rhs: np.ndarray,
+              rtol: float = 1e-12) -> np.ndarray:
+    """Solve the Psi equation of every system of the stack by preconditioned
+    conjugate gradients.
+
+    The operator is Hermitian positive definite at regular parameters (Phi
+    not identically zero).  Each system has its own step lengths and stops
+    once its residual norm is below ``rtol`` times that of its right-hand
+    side, the rule of scipy's ``cg``; a zero right-hand side gives zero.
+    """
+    x = np.zeros_like(rhs)
+    r = rhs.copy()
+    bound = rtol * np.sqrt(_dot(rhs, rhs).real)
+    p = rho_prev = None
+    for _ in range(PSI_MAXITER):
+        res = np.sqrt(_dot(r, r).real)
+        if not np.all(np.isfinite(res)):
+            raise SingularOperator(
+                "auxiliary spinor solve broke down (wall or irregular "
+                "parameter)", residuals=res.tolist())
+        active = (res >= bound) & (bound > 0)
+        if not active.any():
+            return x
+        z = op.precondition(r)
+        rho = _dot(r, z)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if p is None:
+                p = z
+            else:
+                beta = np.where(active, rho / rho_prev, 0.0)
+                p = z + beta[:, None, None, None] * p
+            q = apply_psi_operator(op, p)
+            step = np.where(active, rho / _dot(p, q), 0.0)
+        x += step[:, None, None, None] * p
+        r -= step[:, None, None, None] * q
+        rho_prev = rho
+    raise SingularOperator(
+        "auxiliary spinor solve stalled (wall or irregular parameter)",
+        maxiter=PSI_MAXITER, residuals=res.tolist())
+
+
+def _coefficients(curve: FlatCurve, family: FlatBundleFamily, t: float):
+    """(q_dev, c) at time t, one entry per component: q_dev_j is the dzbar
+    coefficient of the flat deviation a_j(t) - a_j(0), and the Psi equation's
+    right-hand side is c_j Phi_j with c_j = q(sigma) + q(2 pi adot_j)."""
+    q_dev = flat_deviation_q(
+        curve, family.holonomies(t) - family.holonomies(0.0))
+    c = q_const_real(curve, family.sigma(t)) \
+        + q_const_real(curve, TWO_PI * family.velocities(t))
+    return q_dev, c
+
+
+def aux_spinor(stack: VortexStack, family: FlatBundleFamily, t):
+    """(op, Psi): the Psi operator of the stack at time t and the auxiliary
+    spinor solving the Psi equation there.
+
+    ``t`` is one time shared by the stack, or a sequence of K times, one per
+    configuration (the t-slices of an assembly).
+    """
+    if np.ndim(t) == 0:
+        q_dev, c = _coefficients(stack.curve, family, t)
+    else:
+        q_dev, c = (np.stack(a) for a in zip(
+            *(_coefficients(stack.curve, family, s) for s in t)))
+    op = PsiOperator(stack, q_dev)
+    return op, solve_psi(op, c[..., None, None] * stack.Phi)
+
+
+def _velocities(stack: VortexStack, family: FlatBundleFamily, t: float):
     """(alpha_dot, Phi_dot) of the parallel-transport ODE at time t."""
-    curve = cfg.curve
-    q_dev, Psi = aux_spinor(cfg, family, t)
+    op, Psi = aux_spinor(stack, family, t)
     sigma = np.asarray(family.sigma(t), float)
-    q = cfg.q_alpha()[None] + q_dev.reshape(-1, 1, 1)
-    Phi_dot = -1j * dolbeault_adjoint(curve, Psi, cfg.twists, qbeta=q)
-    eta = np.sum(Psi * np.conj(cfg.Phi), axis=0)
-    ax_dot = -1j * (np.real(eta) - sigma[0])
-    ay_dot = -1j * (np.real(eta * np.conj(curve.modulus)) - sigma[1])
-    return (ax_dot, ay_dot), Phi_dot
+    Phi_dot = -1j * op.adjoint(Psi)
+    eta = np.sum(Psi * op.Phi_conj, axis=-3)
+    alpha_dot = -1j * np.stack(
+        [np.real(eta) - sigma[0],
+         np.real(eta * np.conj(stack.curve.modulus)) - sigma[1]], axis=1)
+    return alpha_dot, Phi_dot
 
 
 # ---------------------------------------------------------------------------
@@ -175,43 +255,47 @@ class TransportTrace:
         return "\n".join(lines) + "\n"
 
 
-def _rk4_step(cfg: VortexConfig, family: FlatBundleFamily, t: float,
-              h: float) -> VortexConfig:
-    def shifted(c, dax, day, dPhi, scale):
-        ax, ay = c.alpha
-        return replace(c, alpha=(ax + scale * dax, ay + scale * day),
-                       Phi=c.Phi + scale * dPhi)
+def _rk4_step(stack: VortexStack, family: FlatBundleFamily, t: float,
+              h: float) -> VortexStack:
+    def shifted(dalpha, dPhi, scale):
+        return replace(stack, alpha=stack.alpha + scale * dalpha,
+                       Phi=stack.Phi + scale * dPhi)
 
-    (k1x, k1y), k1p = _velocities(cfg, family, t)
-    c2 = shifted(cfg, k1x, k1y, k1p, h / 2)
-    (k2x, k2y), k2p = _velocities(c2, family, t + h / 2)
-    c3 = shifted(cfg, k2x, k2y, k2p, h / 2)
-    (k3x, k3y), k3p = _velocities(c3, family, t + h / 2)
-    c4 = shifted(cfg, k3x, k3y, k3p, h)
+    k1a, k1p = _velocities(stack, family, t)
+    k2a, k2p = _velocities(shifted(k1a, k1p, h / 2), family, t + h / 2)
+    k3a, k3p = _velocities(shifted(k2a, k2p, h / 2), family, t + h / 2)
     # query the last stage just inside the step: at a breakpoint t + h the
     # piecewise-linear velocity jumps to the next segment's slope
-    (k4x, k4y), k4p = _velocities(c4, family, t + (1.0 - 1e-9) * h)
-    ax, ay = cfg.alpha
-    return replace(
-        cfg,
-        alpha=(ax + h / 6 * (k1x + 2 * k2x + 2 * k3x + k4x),
-               ay + h / 6 * (k1y + 2 * k2y + 2 * k3y + k4y)),
-        Phi=cfg.Phi + h / 6 * (k1p + 2 * k2p + 2 * k3p + k4p))
+    k4a, k4p = _velocities(shifted(k3a, k3p, h), family,
+                           t + (1.0 - 1e-9) * h)
+    return shifted(k1a + 2 * k2a + 2 * k3a + k4a,
+                   k1p + 2 * k2p + 2 * k3p + k4p, h / 6)
 
 
-def _advance(cfg: VortexConfig, family: FlatBundleFamily, t: float,
-             h: float, tol: float, depth: int = 0) -> VortexConfig:
-    """One accepted step of size h, bisecting on residual excess."""
-    out = _rk4_step(cfg, family, t, h)
-    if moment_residual(out, family.tau()) <= tol:
-        return out
+def _advance(stack: VortexStack, family: FlatBundleFamily,
+             tau_grid: np.ndarray, t: float, h: float, tol: float,
+             depth: int = 0) -> Tuple[VortexStack, np.ndarray]:
+    """One accepted step of size h and the moment residuals after it; the
+    configurations whose residual exceeds ``tol`` are redone in halves."""
+    out = _rk4_step(stack, family, t, h)
+    res = moment_residuals(out.curve, out.alpha, out.Phi, tau_grid)
+    bad = np.flatnonzero(~(res <= tol))
+    if bad.size == 0:
+        return out, res
     if depth >= 6:
         raise TrackingLoss(
             "moment residual exceeds tolerance after 6 step halvings "
             "(wall proximity suspected)", t=t, h=h,
-            residual=moment_residual(out, family.tau()))
-    mid = _advance(cfg, family, t, h / 2, tol, depth + 1)
-    return _advance(mid, family, t + h / 2, h / 2, tol, depth + 1)
+            residual=float(np.max(res[bad])))
+    sub = replace(stack, alpha=stack.alpha[bad], Phi=stack.Phi[bad],
+                  twists=stack.twists[bad])
+    mid, _ = _advance(sub, family, tau_grid, t, h / 2, tol, depth + 1)
+    end, end_res = _advance(mid, family, tau_grid, t + h / 2, h / 2, tol,
+                            depth + 1)
+    out.alpha[bad] = end.alpha
+    out.Phi[bad] = end.Phi
+    res[bad] = end_res
+    return out, res
 
 
 def _check_steps(steps: int) -> None:
@@ -219,10 +303,20 @@ def _check_steps(steps: int) -> None:
         raise ValueError("the number of transport steps must be at least 1")
 
 
-def transport(curve: FlatCurve, family: FlatBundleFamily,
-              start: VortexConfig, steps: int,
-              tol: float = 1e-6) -> TransportTrace:
-    """Integrate the parallel-transport ODE from t = 0 to 1.
+def _states(starts: Sequence[VortexConfig], t: float, stack: VortexStack,
+            res: np.ndarray) -> List[TransportState]:
+    return [TransportState(t, replace(s, alpha=(stack.alpha[k, 0],
+                                                stack.alpha[k, 1]),
+                                      Phi=stack.Phi[k]), float(res[k]))
+            for k, s in enumerate(starts)]
+
+
+def transport_stack(curve: FlatCurve, family: FlatBundleFamily,
+                    starts: Sequence[VortexConfig], steps: int,
+                    tol: float = 1e-6) -> Iterator[List[TransportState]]:
+    """Integrate the parallel-transport ODE from t = 0 to 1 for K starts of
+    one family at once, yielding their K states at t = 0 and after each
+    step.
 
     Substeps are aligned with the family's breakpoints so piecewise-linear
     holonomy paths are integrated segment by segment with smooth data.
@@ -230,34 +324,47 @@ def transport(curve: FlatCurve, family: FlatBundleFamily,
     _check_steps(steps)
     if not tol > 0:
         raise ValueError("moment tolerance must be positive")
-    res0 = moment_residual(start, family.tau())
-    if res0 > tol:
+    tau_grid = _tau_grid(curve, family.tau())
+    stack = VortexStack.of(starts)
+    res = moment_residuals(curve, stack.alpha, stack.Phi, tau_grid)
+    if not np.all(res <= tol):
         raise TrackingLoss("start configuration violates the moment map",
-                           residual=res0)
-    states = [TransportState(0.0, start, res0)]
-    cfg = start
+                           residual=float(np.max(res)))
+    yield _states(starts, 0.0, stack, res)
     breaks = family.breaks()
     for t0, t1 in zip(breaks, breaks[1:]):
         sub = max(1, math.ceil(steps * (t1 - t0) - 1e-12))
         h = (t1 - t0) / sub
         for i in range(sub):
-            t = t0 + i * h
-            cfg = _advance(cfg, family, t, h, tol)
-            tn = t0 + (i + 1) * h
-            states.append(TransportState(
-                tn, cfg, moment_residual(cfg, family.tau())))
-    return TransportTrace(states=states)
+            stack, res = _advance(stack, family, tau_grid, t0 + i * h, h,
+                                  tol)
+            yield _states(starts, t0 + (i + 1) * h, stack, res)
 
 
-def transported(curve: FlatCurve, family: FlatBundleFamily, k: int,
-                steps: int, tol: float = 1e-6) -> TransportTrace:
-    """The vortex seed with its section in summand k, transported over [0, 1].
+def transport(curve: FlatCurve, family: FlatBundleFamily,
+              start: VortexConfig, steps: int,
+              tol: float = 1e-6) -> TransportTrace:
+    """The trace of one start over [0, 1]: ``transport_stack`` with K = 1."""
+    return TransportTrace(states=[
+        states[0] for states in transport_stack(curve, family, [start],
+                                                steps, tol)])
+
+
+def vortex_seed(curve: FlatCurve, family: FlatBundleFamily,
+                k: int) -> VortexConfig:
+    """The framed vortex at t = 0 with its section in summand k.
 
     This is the one place a vortex solve feeds transport: monodromy, the
     ``transport`` command and the 3D assembly all start here.
     """
-    start, _ = vortex_solve(curve, family.holonomies(0.0), k, family.tau())
-    return transport(curve, family, start, steps, tol=tol)
+    return vortex_solve(curve, family.holonomies(0.0), k, family.tau())[0]
+
+
+def transported(curve: FlatCurve, family: FlatBundleFamily, k: int,
+                steps: int, tol: float = 1e-6) -> TransportTrace:
+    """The vortex seed of strand k, transported over [0, 1]."""
+    return transport(curve, family, vortex_seed(curve, family, k), steps,
+                     tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -287,12 +394,18 @@ def match_strands(family: FlatBundleFamily, finals: Iterable[np.ndarray],
     """Read the permutation off the strands' final holonomies.
 
     The final holonomy of strand k, pulled back through f*, is matched
-    against the t = 0 holonomies -a_j(0) with toroidal tolerance 10 h^2.
+    against the t = 0 holonomies -a_j(0) with toroidal tolerance 10 h^2,
+    capped at half the smallest toroidal distance between two of them, so
+    that a holonomy within tolerance of two strands is one exactly halfway.
     """
     _check_steps(steps)
     F = np.array(family.mc.fstar.to_lists(), float)
     targets = wrap_twist(-family.holonomies(0.0))
     match_tol = 10.0 / steps ** 2
+    gaps = [toroidal_distance(a, b)
+            for i, a in enumerate(targets) for b in targets[i + 1:]]
+    if gaps:
+        match_tol = min(match_tol, 0.5 * min(gaps))
     perm = tuple(_match_holonomy(h, F, targets, match_tol) for h in finals)
     if sorted(perm) != list(range(family.N)):
         raise AmbiguousMatch("matched indices do not form a permutation",
@@ -305,10 +418,12 @@ def numeric_monodromy(curve: FlatCurve, family: FlatBundleFamily,
                       tol: float = 1e-6) -> Tuple[int, ...]:
     """Transport a vortex seed for each strand and read off the permutation.
 
-    The seed at strand k puts the holomorphic section in summand k.  The
-    strands run one after another, and only each final holonomy is kept.
+    The seed at strand k puts the holomorphic section in summand k.  All
+    seeds are transported in one stack, and only their final states are
+    kept.
     """
     braid_validate(braid)
-    return match_strands(
-        family, (transported(curve, family, k, steps, tol).final.holonomy
-                 for k in range(family.N)), steps)
+    starts = [vortex_seed(curve, family, k) for k in range(family.N)]
+    for finals in transport_stack(curve, family, starts, steps, tol):
+        pass
+    return match_strands(family, [s.holonomy for s in finals], steps)

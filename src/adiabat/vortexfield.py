@@ -15,10 +15,13 @@ Arrays.  The grid is always the last two axes.  Every spectral operator
 Dolbeault operators) acts on (..., n, n) input, any leading axes being a
 stack such as the t-slices of a 3D configuration, with one 2D FFT over
 axes (-2, -1) per call.  Per-component data of an N-summand spinor is
-(..., N, n, n), with twists (N, 2) matched to axis -3.  Each curve builds
-its constants (grid, modes, derivative symbols) once, and the twist phase
-and Dolbeault symbol once per twist, on first use; they are returned as
-read-only arrays and live as long as the curve.
+(..., N, n, n), with twists (N, 2) matched to axis -3, or a stack of
+twists (..., N, 2) matched to the axes before the grid.  Each curve builds
+its constants (grid, modes, derivative symbols) once, and the twist phase,
+its conjugate and the Dolbeault symbol once per twist or stack of twists,
+on first use; they are returned as read-only arrays and live as long as
+the curve.  The transforms write their products and inverse FFTs into the
+arrays they have just made.
 
 The multi-vortex solve uses the complex-gauge substitution Phi = e^u Phi_0
 with Phi_0 = 1 in the active summand, reducing the moment-map equation to a
@@ -51,7 +54,8 @@ TWO_PI = 2.0 * math.pi
 # Curve and spectral helpers
 # ---------------------------------------------------------------------------
 
-# twists whose phase and symbol a curve keeps; the oldest is dropped first
+# twist arrays (one twist or a stack) whose phases and symbols a curve
+# keeps; the oldest is dropped first
 TWIST_CACHE_SIZE = 64
 
 
@@ -122,56 +126,77 @@ class FlatCurve:
         """(2, n, n) symbols of (d/dx, d/dy): 2 pi i M and 2 pi i K."""
         return 2j * math.pi * np.stack(self.modes())
 
-    def _twisted(self, theta) -> Tuple[np.ndarray, np.ndarray]:
-        """(phase, lam) of one twist, built once per twist."""
-        key = (float(theta[0]), float(theta[1]))
+    def _twisted(self, theta) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(phase, lam, conjugate phase) of one twist (2,) or of a stack of
+        twists (..., 2), built once per twist array."""
+        t = np.asarray(theta, float)
+        key = (t.shape, t.tobytes())
         hit = self._twists.get(key)
         if hit is None:
+            if t.ndim == 1:
+                X, Y = self.grid()
+                M, K = self.modes()
+                phase = np.exp(2j * math.pi * (t[0] * X + t[1] * Y))
+                lam = (math.pi / self.imu) * (self.modulus * (M + t[0])
+                                              - (K + t[1]))
+                hit = (phase, lam, np.conj(phase))
+            else:
+                rows = [self._twisted(row) for row in t.reshape(-1, 2)]
+                shape = t.shape[:-1] + (self.n, self.n)
+                hit = tuple(np.stack(slot).reshape(shape)
+                            for slot in zip(*rows))
             if len(self._twists) >= TWIST_CACHE_SIZE:
                 del self._twists[next(iter(self._twists))]
-            X, Y = self.grid()
-            M, K = self.modes()
-            phase = np.exp(2j * math.pi * (key[0] * X + key[1] * Y))
-            lam = (math.pi / self.imu) * (self.modulus * (M + key[0])
-                                          - (K + key[1]))
-            hit = self._twists[key] = _read_only((phase, lam))
+            hit = self._twists[key] = _read_only(hit)
         return hit
 
-    def _per_twist(self, theta, slot: int) -> np.ndarray:
-        t = np.asarray(theta, float)
-        if t.ndim == 1:
-            return self._twisted(t)[slot]
-        return np.stack([self._twisted(row)[slot] for row in t])
-
     def twist_phase(self, theta) -> np.ndarray:
-        """exp(2 pi i theta . (x, y)): (n, n) for one twist, (N, n, n) for an
-        (N, 2) stack of twists."""
-        return self._per_twist(theta, 0)
+        """exp(2 pi i theta . (x, y)): (n, n) for one twist, (..., n, n) for
+        a (..., 2) stack of twists."""
+        return self._twisted(theta)[0]
 
     def lam(self, theta) -> np.ndarray:
         """Dolbeault symbol: dbar e_{m,k} = lam * e_{m,k} dzbar; (n, n) for
-        one twist, (N, n, n) for an (N, 2) stack of twists."""
-        return self._per_twist(theta, 1)
+        one twist, (..., n, n) for a (..., 2) stack of twists."""
+        return self._twisted(theta)[1]
 
     # -- basic transforms --------------------------------------------------
 
     def to_modes(self, vals: np.ndarray, theta=None) -> np.ndarray:
-        if theta is not None:
-            vals = vals * np.conj(self.twist_phase(theta))
-        return np.fft.fft2(vals, norm="forward")
+        if theta is None:
+            return np.fft.fft2(vals, norm="forward")
+        out = vals * self._twisted(theta)[2]
+        return np.fft.fft2(out, norm="forward", out=out)
 
     def from_modes(self, coef: np.ndarray, theta=None) -> np.ndarray:
-        vals = np.fft.ifft2(coef, norm="forward")
-        return vals if theta is None else vals * self.twist_phase(theta)
+        return self._phased(np.fft.ifft2(coef, norm="forward"), theta)
 
     def spectral(self, vals: np.ndarray, symbol: np.ndarray,
                  theta=None) -> np.ndarray:
         """Fourier multiplier ``symbol`` on (..., n, n) samples.
 
-        ``theta`` is None for untwisted functions, one twist, or an (N, 2)
-        stack of twists matched to axis -3 of ``vals``.
+        ``theta`` is None for untwisted functions, one twist, or a stack of
+        twists (..., N, 2) matched to the axes before the grid of ``vals``.
         """
-        return self.from_modes(symbol * self.to_modes(vals, theta), theta)
+        coef = self.to_modes(vals, theta)
+        coef = _product(symbol, coef, coef)
+        return self._phased(np.fft.ifft2(coef, norm="forward", out=coef),
+                            theta)
+
+    def _phased(self, vals: np.ndarray, theta) -> np.ndarray:
+        """Restore the twist phase on samples this curve has just made."""
+        if theta is None:
+            return vals
+        return _product(vals, self._twisted(theta)[0], vals)
+
+
+def _product(x, y, owned: np.ndarray) -> np.ndarray:
+    """x * y, written into ``owned`` (x or y, an array the caller has just
+    made) when the product has its shape.  The factors keep their order,
+    because a vectorized complex product need not commute bit for bit."""
+    if np.broadcast_shapes(np.shape(x), np.shape(y)) == owned.shape:
+        return np.multiply(x, y, out=owned)
+    return x * y
 
 
 def wrap_twist(theta) -> np.ndarray:
@@ -242,9 +267,11 @@ def d_scalar(curve: FlatCurve, f: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _check_twists(vals, twists) -> np.ndarray:
-    """One twist for (..., n, n) input, or (N, 2) twists matched to axis -3."""
+    """One twist for (..., n, n) input, or twists (..., N, 2) matched to the
+    axes before the grid."""
     t = np.asarray(twists, float)
-    if t.ndim == 2 and (np.ndim(vals) < 3 or np.shape(vals)[-3] != len(t)):
+    lead = t.shape[:-1]
+    if lead and np.shape(vals)[-2 - len(lead):-2] != lead:
         raise HolonomyMismatch("one twist vector per component is required",
                                components=list(np.shape(vals)[:-2]),
                                twists=len(t))
@@ -275,11 +302,12 @@ def dolbeault_adjoint(curve: FlatCurve, vals, twists, qbeta=None) -> np.ndarray:
     return out
 
 
-def flat_deviation_q(curve: FlatCurve, delta_a) -> complex:
-    """dzbar coefficient of the flat connection form 2 pi i delta_a (dx,dy)."""
+def flat_deviation_q(curve: FlatCurve, delta_a) -> np.ndarray:
+    """dzbar coefficient of the flat connection form 2 pi i delta_a (dx,dy),
+    for one delta_a (2,) or a stack (..., 2)."""
     da = np.asarray(delta_a, float)
     mu = curve.modulus
-    return complex((2j * math.pi) * (mu * da[0] - da[1]) / (2j * curve.imu))
+    return (2j * math.pi) * (mu * da[..., 0] - da[..., 1]) / (2j * curve.imu)
 
 
 # ---------------------------------------------------------------------------
@@ -473,12 +501,20 @@ def _tau_grid(curve: FlatCurve, tau) -> np.ndarray:
                            (curve.n, curve.n)).copy()
 
 
+def moment_residuals(curve: FlatCurve, alpha: np.ndarray, Phi: np.ndarray,
+                     tau_grid: np.ndarray) -> np.ndarray:
+    """sup |star F_A - (i/2)|Phi|^2 + i tau| over the grid, for each
+    configuration of a stack: alpha (..., 2, n, n), Phi (..., N, n, n)."""
+    dens = np.sum(np.abs(Phi) ** 2, axis=-3)
+    val = star_d(curve, alpha[..., 0, :, :], alpha[..., 1, :, :]) \
+        - 0.5j * dens + 1j * tau_grid
+    return np.max(np.abs(val), axis=(-2, -1))
+
+
 def moment_residual(cfg: VortexConfig, tau) -> float:
     """sup |star F_A - (i/2)|Phi|^2 + i tau| over the grid."""
-    tg = _tau_grid(cfg.curve, tau)
-    dens = np.sum(np.abs(cfg.Phi) ** 2, axis=0)
-    val = star_d(cfg.curve, *cfg.alpha) - 0.5j * dens + 1j * tg
-    return float(np.max(np.abs(val)))
+    return float(moment_residuals(cfg.curve, np.stack(cfg.alpha), cfg.Phi,
+                                  _tau_grid(cfg.curve, tau)))
 
 
 def _kw_laplacian_symbol(curve: FlatCurve) -> np.ndarray:

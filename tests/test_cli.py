@@ -169,37 +169,52 @@ class TestNumericalLayer:
         assert report["match"] is True
         assert report["permutation"] == [0, 1]
 
-    def test_transport_out_reuses_strand_traces(self, capsys, tmp_path,
-                                                monkeypatch):
-        """The --out trace is strand 0's run from the monodromy, so each
-        strand is transported exactly once."""
+    @pytest.fixture()
+    def readme_braid(self, tmp_path):
+        """The README braid: two constant strands 0.5 apart."""
         targets = tmp_path / "targets.json"
         targets.write_text(json.dumps([{"class": [0, 1], "count": 1},
                                        {"class": [1, 0], "count": 1}]))
         b = str(tmp_path / "b.json")
         assert main(["braid-make", "--matrix=-1,0;0,-1", "--rank", "2",
                      "--targets", str(targets), "--out", b]) == 0
-        original = adiabat.transport.transport
+        return b
+
+    def test_transport_out_reuses_strand_traces(self, capsys, tmp_path,
+                                                monkeypatch, readme_braid):
+        """The --out trace is strand 0's states from the one stacked run
+        of all strands, so each strand is transported exactly once."""
+        original = adiabat.transport.transport_stack
         runs = []
 
-        def counting(curve, family, start, *args, **kwargs):
-            trace = original(curve, family, start, *args, **kwargs)
-            runs.append((start.k, trace))
-            return trace
+        def counting(curve, family, starts, *args, **kwargs):
+            finals = []
+            runs.append(([s.k for s in starts], finals))
+            for states in original(curve, family, starts, *args, **kwargs):
+                finals[:] = states
+                yield states
 
         # callers look the function up in their own module
         for mod in (adiabat.transport, adiabat.cli):
-            monkeypatch.setattr(mod, "transport", counting, raising=False)
+            monkeypatch.setattr(mod, "transport_stack", counting)
         out = tmp_path / "tr.jsonl"
-        code, _, _ = run(capsys, ["transport", "--braid", b, "--grid", "8",
-                                  "--tsteps", "40", "--out", str(out)])
+        code, _, _ = run(capsys, ["transport", "--braid", readme_braid,
+                                  "--grid", "8", "--tsteps", "40", "--out",
+                                  str(out)])
         assert code == 0
-        assert len(runs) == 2
+        assert [ks for ks, _ in runs] == [[0, 1]]
         last = strict_json(out.read_text().splitlines()[-1])
-        strand0 = next(trace for k, trace in runs if k == 0)
-        assert last["t"] == 1.0
-        assert last["holonomy"] == [float(x)
-                                    for x in strand0.final.holonomy]
+        strand0 = runs[0][1][0]
+        assert last["t"] == strand0.t == 1.0
+        assert last["holonomy"] == [float(x) for x in strand0.holonomy]
+
+    def test_transport_few_steps_matches(self, capsys, readme_braid):
+        """The matching tolerance 10 / steps^2 is capped at half the strand
+        separation; uncapped, 3 steps matched both strands."""
+        code, out, _ = run(capsys, ["transport", "--braid", readme_braid,
+                                    "--grid", "8", "--tsteps", "3"])
+        assert code == 0
+        assert strict_json(out)["match"] is True
 
     def test_newton_without_fixed_strand_exit(self, capsys, tmp_path):
         path = tmp_path / "odd.json"

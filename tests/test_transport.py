@@ -1,20 +1,49 @@
 """Parallel transport of framed vortices and numeric monodromy."""
 
 import json
+import random
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import LinearOperator, cg
 
-from adiabat.braid import braid_permutation
-from adiabat.transport import (apply_psi_operator, match_strands,
-                               numeric_monodromy, solve_psi, transport,
-                               transported)
-from adiabat.vortexfield import (FlatBundleFamily, FlatCurve, smooth_family,
-                                 vortex_solve)
+import adiabat.transport
+from adiabat.braid import braid_construct, braid_permutation, braid_validate
+from adiabat.errors import AmbiguousMatch
+from adiabat.topology import validate_mapping_class
+from adiabat.transport import (PsiOperator, VortexStack, apply_psi_operator,
+                               match_strands, numeric_monodromy, solve_psi,
+                               transport, transport_stack, transported,
+                               vortex_seed)
+from adiabat.vortexfield import (FlatBundleFamily, FlatCurve, HolonomyPath,
+                                 smooth_family, vortex_solve)
+from adiabat.zlattice import IntMatrix, cokernel
 
 from tests.test_braid import even_winding_braid, odd_winding_braid
 
 MU = 0.2 + 1.0j
+MINUS_ID = IntMatrix.from_rows([[-1, 0], [0, -1]])
+
+
+def criterion_6_braids():
+    """The ten f* = -id braids of acceptance criterion 6 (same seed)."""
+    mc = validate_mapping_class(1, MINUS_ID)
+    grp = cokernel(mc.one_minus_fstar)
+    elems = [grp.normalize(list(w)) for w in grp.elements()]
+    rng = random.Random(101)
+    for i in range(10):
+        N = 2 + (i % 2)
+        targets = {}
+        for _ in range(rng.randint(0, N)):
+            c = rng.choice(elems)
+            targets[c] = targets.get(c, 0) + 1
+        yield braid_validate(braid_construct(mc, targets, N))
+
+
+def final_states(curve, family, starts, steps, tol):
+    for states in transport_stack(curve, family, starts, steps, tol):
+        pass
+    return states
 
 
 class TestSolvePsi:
@@ -28,9 +57,47 @@ class TestSolvePsi:
         rhs_m[:, :3, :3] = rng.standard_normal((2, 3, 3)) \
             + 1j * rng.standard_normal((2, 3, 3))
         rhs = np.fft.ifft2(rhs_m, norm="forward")
-        Psi = solve_psi(cfg, q_dev, rhs)
-        resid = apply_psi_operator(cfg, q_dev, Psi) - rhs
+        op = PsiOperator(VortexStack.of([cfg]), q_dev)
+        Psi = solve_psi(op, rhs[None])
+        resid = apply_psi_operator(op, Psi)[0] - rhs
         assert float(np.max(np.abs(resid))) < 1e-9 * float(np.max(np.abs(rhs)))
+
+    def test_batched_systems_stop_on_their_own_residuals(self):
+        """A zero, a 1e-8-scale and an O(1) right-hand side in one stack:
+        each system meets its own relative residual and matches scipy's cg
+        on that system alone."""
+        rng = np.random.default_rng(4)
+        curve = FlatCurve(MU, 16)
+        hol = np.array([[0.13, -0.21], [-0.32, 0.05]])
+        tau = 2.0 + 0.4 * np.cos(2 * np.pi * curve.grid()[0])
+        cfg, _ = vortex_solve(curve, hol, 0, lambda X, Y: tau)
+        q_dev = np.array([0.02 + 0.01j, -0.015 + 0.03j])
+        shape = (2, 16, 16)
+        rhs = np.zeros((3,) + shape, complex)
+        for k, scale in ((1, 1e-8), (2, 1.0)):
+            rhs[k] = scale * (rng.standard_normal(shape)
+                              + 1j * rng.standard_normal(shape))
+        op = PsiOperator(VortexStack.of([cfg] * 3), q_dev)
+        Psi = solve_psi(op, rhs, rtol=1e-12)
+        assert not Psi[0].any()
+        resid = apply_psi_operator(op, Psi) - rhs
+        one = PsiOperator(VortexStack.of([cfg]), q_dev)
+        size = rhs[0].size
+
+        def single(fn):
+            """fn on one (N, n, n) system, as a scipy operator."""
+            def mv(x):
+                return fn(x.reshape((1,) + shape)).ravel()
+            return LinearOperator((size, size), matvec=mv, dtype=complex)
+
+        for k in (1, 2):
+            assert np.linalg.norm(resid[k]) <= 1e-12 * np.linalg.norm(rhs[k])
+            ref, info = cg(single(lambda x: apply_psi_operator(one, x)),
+                           rhs[k].ravel(), rtol=1e-12, atol=0.0,
+                           M=single(one.precondition), maxiter=2000)
+            assert info == 0
+            err = np.max(np.abs(Psi[k].ravel() - ref))
+            assert err <= 1e-10 * np.max(np.abs(ref))
 
 
 class TestTransport:
@@ -67,6 +134,37 @@ class TestTransport:
         with pytest.raises(ValueError):
             match_strands(family, [-family.holonomies(0.0)[0]], 0)
 
+    def test_only_failing_starts_are_halved(self, monkeypatch):
+        """Strand 0 moves and needs halved steps at tol 1e-4; strand 1 is
+        constant and does not.  Only strand 0 is redone, and each strand
+        ends where its single-start run ends."""
+        curve = FlatCurve(MU, 16)
+        family = FlatBundleFamily(
+            N=2, mc=validate_mapping_class(1, IntMatrix.identity(2)),
+            closing_permutation=(0, 1),
+            paths=[HolonomyPath.trigonometric([0.3, 0.1], [1, 0],
+                                              amp=[0.15, -0.1]),
+                   HolonomyPath.trigonometric([-0.2, 0.35], [0, 0])],
+            tau_spatial=lambda X, Y: 2.0 + 0.5 * np.cos(2 * np.pi * X)
+            * np.sin(2 * np.pi * Y) + 0.3 * np.sin(2 * np.pi * X))
+        starts = [vortex_seed(curve, family, k) for k in range(2)]
+        original = adiabat.transport._rk4_step
+        sizes = []
+
+        def counting(stack, *args):
+            sizes.append(len(stack.Phi))
+            return original(stack, *args)
+
+        monkeypatch.setattr(adiabat.transport, "_rk4_step", counting)
+        finals = final_states(curve, family, starts, 4, 1e-4)
+        assert sizes.count(2) == 4 and 1 in sizes
+        for start, final in zip(starts, finals):
+            alone = transport(curve, family, start, 4, 1e-4).final
+            assert alone.t == final.t == 1.0
+            assert np.max(np.abs(final.cfg.Phi - alone.cfg.Phi)) < 1e-13
+            for got, want in zip(final.cfg.alpha, alone.cfg.alpha):
+                assert np.max(np.abs(got - want)) < 1e-13
+
     def test_trace_jsonl(self):
         curve = FlatCurve(MU, 16)
         trace = transported(curve, smooth_family(), 0, 20)
@@ -74,6 +172,21 @@ class TestTransport:
         assert len(lines) == len(trace.states)
         first = json.loads(lines[0])
         assert first["t"] == 0.0
+
+
+    def test_halfway_holonomy_is_ambiguous(self):
+        """The tolerance is capped at half the strand separation, so a
+        final holonomy exactly halfway between two strands matches both."""
+        mc = validate_mapping_class(1, MINUS_ID)
+        b = braid_validate(braid_construct(mc, {(0, 1): 1, (1, 0): 1}, 2))
+        family = FlatBundleFamily.from_braid(b, tau_bar=2.0)
+        a, c = np.mod(-family.holonomies(0.0), 1.0)
+        assert np.max(np.abs(a - c)) == 0.5
+        # F = -id, so the final holonomy -x pulls back to x
+        halfway = -(a + np.array([0.25, 0.25]) * np.sign(c - a))
+        with pytest.raises(AmbiguousMatch):
+            match_strands(family, [halfway, -c], 1)
+        assert match_strands(family, [-a, -c], 1) == (0, 1)
 
 
 class TestNumericMonodromy:
@@ -90,3 +203,18 @@ class TestNumericMonodromy:
         fam = FlatBundleFamily.from_braid(b, tau_bar=2.0)
         perm = numeric_monodromy(curve, fam, b, steps=120)
         assert perm == braid_permutation(b) == (1, 0)
+
+    def test_stack_matches_single_starts(self):
+        """On the criterion-6 braids the stacked run ends where each
+        strand's single-start run ends and reads the same permutation."""
+        curve = FlatCurve(MU, 8)
+        for b in criterion_6_braids():
+            fam = FlatBundleFamily.from_braid(b, tau_bar=2.0)
+            starts = [vortex_seed(curve, fam, k) for k in range(fam.N)]
+            stacked = [s.holonomy
+                       for s in final_states(curve, fam, starts, 50, 1e-6)]
+            alone = [transport(curve, fam, s, 50).final.holonomy
+                     for s in starts]
+            assert np.max(np.abs(np.array(stacked) - alone)) <= 1e-12
+            assert numeric_monodromy(curve, fam, b, steps=50) \
+                == match_strands(fam, alone, 50)
