@@ -25,8 +25,8 @@ from .topology import (count_large_d, jacobian_fixed_points, spinc_classes,
                        validate_mapping_class)
 from .braid import (TorusBraid, braid_census, braid_construct,
                     braid_validate)
-from .vortexfield import (FlatBundleFamily, FlatCurve, moment_residual,
-                          save_vortex_config, vortex_solve)
+from .vortexfield import (FlatBundleFamily, FlatCurve, invariant_modulus,
+                          moment_residual, save_vortex_config, vortex_solve)
 from .transport import (TransportTrace, match_strands, transport_stack,
                         vortex_seed)
 from .monopole import (adiabatic_config, config_norm_diff, identity_check,
@@ -95,8 +95,10 @@ def _load_braid(path: str) -> TorusBraid:
         return braid_validate(TorusBraid.from_json(fh.read()))
 
 
-def _curve(args) -> FlatCurve:
-    mod = complex(*args.modulus)
+def _curve(args, fstar=((1, 0), (0, 1))) -> FlatCurve:
+    """The curve of --grid and --modulus; without --modulus, one whose flat
+    structure f* preserves."""
+    mod = complex(*args.modulus) if args.modulus else invariant_modulus(fstar)
     return FlatCurve(modulus=mod, n=args.grid)
 
 
@@ -193,7 +195,7 @@ def cmd_vortex(args) -> int:
 def cmd_transport(args) -> int:
     braid = _load_braid(args.braid)
     family = FlatBundleFamily.from_braid(braid, tau_bar=args.tau)
-    curve = _curve(args)
+    curve = _curve(args, braid.mc.fstar.to_lists())
     # the stacked run of numeric_monodromy, keeping strand 0's states so
     # that its trace is written without transporting it again
     starts = [vortex_seed(curve, family, k) for k in range(family.N)]
@@ -213,10 +215,10 @@ def cmd_transport(args) -> int:
 
 
 def _assemble(args):
-    family = FlatBundleFamily.from_braid(_load_braid(args.braid),
-                                         tau_bar=args.tau)
-    return adiabatic_config(_curve(args), family, args.slices, args.tsteps,
-                            args.tolerance)
+    braid = _load_braid(args.braid)
+    family = FlatBundleFamily.from_braid(braid, tau_bar=args.tau)
+    return adiabatic_config(_curve(args, braid.mc.fstar.to_lists()), family,
+                            args.slices, args.tsteps, args.tolerance)
 
 
 def cmd_newton(args) -> int:
@@ -260,8 +262,9 @@ def _add_output_flags(p):
 def _add_numeric_flags(p):
     p.add_argument("--grid", type=int, default=16,
                    help="spatial grid resolution n")
-    p.add_argument("--modulus", type=float, nargs=2, default=[0.0, 1.0],
-                   metavar=("RE", "IM"))
+    p.add_argument("--modulus", type=float, nargs=2, metavar=("RE", "IM"),
+                   help="curve modulus (default: one that f* preserves, "
+                        "i for vortex)")
     p.add_argument("--tau", type=float, default=2.0)
     p.add_argument("--tolerance", type=float, default=1e-6)
 
@@ -270,8 +273,15 @@ def _add_numeric_flags(p):
 POSITIVE_FLAGS = ("tsteps", "slices", "samples", "tolerance")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ValueError, which ``main`` reports as JSON."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="adiabat",
         description="multi-monopole counts and adiabatic realization on "
                     "genus-1 mapping tori")
@@ -357,9 +367,7 @@ def main(argv=None) -> int:
     try:
         try:
             args = ap.parse_args(argv)
-        except SystemExit as exc:
-            # argparse exits 2 on usage errors; that code is reserved for
-            # numerical failures here
+        except SystemExit as exc:  # --help
             return 0 if exc.code in (0, None) else 1
         for name, val in vars(args).items():
             vals = val if isinstance(val, list) else [val]

@@ -6,10 +6,12 @@ on H^1 in the (dx, dy) basis).  A configuration is stored on m uniform
 t-slices; the connection is split as A(t) = flat(zeta0) + ref(t) + dev(t)
 with ref(t) = -2 pi i (a_{k0}(t) - a_{k0}(0)) (dx, dy) tracking the active
 strand, so the stored deviation dev glues linearly across the seam.  The
-seam operator U maps slice-i data to slice-(i+m) data; t-derivatives are
-spectral on the R m-slice unfolding, R being the order of U, which makes
-D_t exactly skew-adjoint and keeps the discrete Leibniz rule at spectral
-accuracy for band-limited fields.
+seam operator U maps slice-i data to slice-(i+m) data: it pulls fields back
+along the grid map and moves each spinor component between frozen twists
+with an integer large gauge.  t-derivatives are spectral on the R m-slice
+unfolding, R being the order of U, computed exactly from C, the closing
+permutation and the gauge; this makes D_t exactly skew-adjoint and keeps
+the discrete Leibniz rule at spectral accuracy for band-limited fields.
 
 Scalar slots V and b are carried as iR-valued grid functions; the five
 rows of the rescaled equations and of the symmetric linearization follow
@@ -44,12 +46,6 @@ SEAM_TOL = 1e-5
 # Seam gluing
 # ---------------------------------------------------------------------------
 
-def _grid_index(curve: FlatCurve, C: np.ndarray):
-    n = curve.n
-    j, k = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    return ((C[0, 0] * j + C[0, 1] * k) % n, (C[1, 0] * j + C[1, 1] * k) % n)
-
-
 @dataclass
 class SeamGluing:
     """The operator U sending slice-i data to slice-(i+m) data.
@@ -57,47 +53,48 @@ class SeamGluing:
     V = U^{-1} realizes the identification of the t = 1 slice with the
     f-pullback of the t = 0 slice: scalars pull back along the exact grid
     map x -> Cx, 1-forms pick up the matrix F = C^T, (0,1)-forms the factor
-    conj(gamma) with z(Cx) = gamma z(x), and spinor components are routed
-    through the closing permutation with large-gauge phases W_k.
+    conj(gamma) with z(Cx) = gamma z(x).  Spinor component k of the image
+    reads component sigma(k): the source is stripped of its twist
+    theta_sigma(k), gathered at C^{-1} x on the grid, multiplied by the
+    integer large gauge exp(2 pi i v_k . x) and given its twist theta_k.
     """
 
     curve: FlatCurve
     C: np.ndarray                # integer 2x2, grid map of f
     perm: Tuple[int, ...]        # closing permutation sigma
-    W: np.ndarray                # (N, 2) large-gauge phase vectors
+    twists: np.ndarray           # (N, 2) frozen component twists
+    gauge: np.ndarray            # (N, 2) integer large-gauge vectors v_k
     gamma: complex = field(init=False)
     order: int = field(init=False)
 
     def __post_init__(self):
         mu = self.curve.modulus
-        C = self.C
-        g = C[0, 0] + mu * C[1, 0]
-        if abs((C[0, 1] + mu * C[1, 1]) - mu * g) > 1e-12 * (1 + abs(mu)):
+        (a, b), (c, d) = C = self.C
+        if a * d - b * c != 1:
+            raise PeriodicityMismatch("grid map must have determinant 1",
+                                      C=C.tolist())
+        if abs((b + mu * d) - mu * (a + mu * c)) > 1e-12 * (1 + abs(mu)):
+            tr = abs(a + d)
             raise PeriodicityMismatch(
+                f"f* is {'hyperbolic' if tr > 2 else 'parabolic'}: no "
+                "f-invariant flat structure exists" if tr >= 2 else
                 "f does not preserve the complex structure at this modulus",
-                modulus=[mu.real, mu.imag], C=self.C.tolist())
-        if abs(abs(g) - 1.0) > 1e-12:
-            raise PeriodicityMismatch(
-                "f is not an isometry of the flat metric", gamma_abs=abs(g))
-        object.__setattr__(self, "gamma", complex(g))
-        Cinv = np.round(np.linalg.inv(C)).astype(int)
-        if not np.array_equal(C @ Cinv, np.eye(2, dtype=int)):
-            raise PeriodicityMismatch("grid map is not invertible over Z",
-                                      C=self.C.tolist())
-        self._idx_fwd = _grid_index(self.curve, Cinv)
+                modulus=[mu.real, mu.imag], C=C.tolist())
+        # |gamma| = 1 follows from det C = 1
+        object.__setattr__(self, "gamma", complex(a + mu * c))
+        # the grid point x gathers C^-1 x = (d x0 - b x1, a x1 - c x0)
+        n = self.curve.n
+        j, k = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
+        self._idx_fwd = i0, i1 = (d * j - b * k) % n, (a * k - c * j) % n
         # 1-forms push forward by F^-1 = (C^-1)^T
-        self._Finv = Cinv.T
-        X, Y = self.curve.grid()
-        N = len(self.W)
-        self._phase_fwd = np.stack([
-            np.exp(-2j * math.pi * ((Cinv.T @ self.W[k])[0] * X
-                                    + (Cinv.T @ self.W[k])[1] * Y))
-            for k in range(N)])
-        # spinor gather: component k of the image reads component perm[k]
-        i0, i1 = self._idx_fwd
-        self._idx_section = (np.asarray(self.perm).reshape(-1, 1, 1),
-                             i0[None], i1[None])
-        object.__setattr__(self, "order", self._find_order())
+        self._Finv = np.array([[d, -c], [-b, a]])
+        # strip theta_sigma(k) at the gathered point, restore theta_k + v_k
+        perm = np.asarray(self.perm)
+        twist = self.curve.twist_phase(self.twists)
+        self._phase_fwd = self.curve.twist_phase(self.twists + self.gauge) \
+            * np.conj(twist[perm][:, i0, i1])
+        self._idx_section = (perm.reshape(-1, 1, 1), i0[None], i1[None])
+        object.__setattr__(self, "order", self._order(perm))
 
     # U: slice i -> slice i+m, on the last axes of a stack of slices ---------
 
@@ -121,27 +118,19 @@ class SeamGluing:
                 "section": self.push_section,
                 "form01": self.push_form01}[kind](arr)
 
-    def _find_order(self, cap: int = 48) -> int:
-        rng = np.random.default_rng(20240915)
-        n, N = self.curve.n, len(self.W)
-        probes = {
-            "scalar": rng.standard_normal((n, n))
-            + 1j * rng.standard_normal((n, n)),
-            "form": rng.standard_normal((2, n, n))
-            + 1j * rng.standard_normal((2, n, n)),
-            "section": rng.standard_normal((N, n, n))
-            + 1j * rng.standard_normal((N, n, n)),
-            "form01": rng.standard_normal((N, n, n))
-            + 1j * rng.standard_normal((N, n, n)),
-        }
-        cur = dict(probes)
-        for r in range(1, cap + 1):
-            cur = {k: self.apply(v, k) for k, v in cur.items()}
-            if all(np.max(np.abs(cur[k] - probes[k])) < 1e-9 for k in cur):
-                return r
-        raise PeriodicityMismatch(
-            "seam operator has no finite order on the grid (cap exceeded)",
-            cap=cap)
+    def _order(self, perm: np.ndarray) -> int:
+        """The order of U on the grid, in integers: U^q, q = lcm(ord C,
+        ord sigma), multiplies component k by exp(2 pi i w_k . x) with
+        w_k = sum_{r < q} F^-r v_{sigma^r(k)}, of order n / gcd(n, w).
+        C preserves a complex structure, so ord C is 1, 2, 3, 4 or 6."""
+        ident, one = np.arange(len(perm)), np.eye(2, dtype=int)
+        idx, Fr, w, q = ident, one, np.zeros_like(self.gauge), 0
+        while q == 0 or not (np.array_equal(idx, ident)
+                             and np.array_equal(Fr, one)):
+            w += self.gauge[idx] @ Fr.T
+            idx, Fr, q = perm[idx], Fr @ self._Finv, q + 1
+        n = self.curve.n
+        return q * n // math.gcd(n, *w.ravel().tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -264,20 +253,26 @@ def _pair01(Psi: np.ndarray, Phi: np.ndarray) -> np.ndarray:
 # Assembly from a transport trace
 # ---------------------------------------------------------------------------
 
-def build_seam(curve: FlatCurve, family: FlatBundleFamily,
-               k0: int) -> SeamGluing:
+def build_seam(curve: FlatCurve, family: FlatBundleFamily, k0: int,
+               twists: np.ndarray) -> SeamGluing:
+    """The seam of a family with active strand k0 and frozen twists: at
+    t = 1 component k has the twist theta_k + dA_k - dA_k0, which differs
+    from the pullback twist F^-1 theta_sigma(k) by the integer gauge v_k."""
     if family.closing_permutation[k0] != k0:
         raise PeriodicityMismatch(
             "active strand must be fixed by the closing permutation",
             k0=k0, permutation=list(family.closing_permutation))
     F = np.array(family.mc.fstar.to_lists(), float)
     C = np.round(F.T).astype(int)
-    base = family.holonomies(0.0)
-    end = family.holonomies(1.0)
-    dA = end - base
-    W = np.stack([F @ (dA[k] - dA[k0]) for k in range(family.N)])
-    return SeamGluing(curve=curve, C=C,
-                      perm=tuple(family.closing_permutation), W=W)
+    dA = family.holonomies(1.0) - family.holonomies(0.0)
+    perm = tuple(family.closing_permutation)
+    v = twists[list(perm)] @ np.linalg.inv(F).T - twists - (dA - dA[k0])
+    gauge = np.round(v).astype(int)
+    if np.max(np.abs(v - gauge)) > SEAM_TOL:
+        raise PeriodicityMismatch(
+            "seam gauge is not an integer vector", gauge=v.tolist())
+    return SeamGluing(curve=curve, C=C, perm=perm, twists=twists,
+                      gauge=gauge)
 
 
 def assemble_adiabatic(trace: TransportTrace, family: FlatBundleFamily,
@@ -296,7 +291,8 @@ def assemble_adiabatic(trace: TransportTrace, family: FlatBundleFamily,
     curve = trace.states[0].cfg.curve
     if k0 is None:
         k0 = trace.states[0].cfg.k
-    seam = build_seam(curve, family, k0)
+    twists = trace.states[0].cfg.twists
+    seam = build_seam(curve, family, k0, twists)
     N, n = family.N, curve.n
     base = family.holonomies(0.0)
     dev = np.empty((m, 2, n, n), complex)
@@ -304,7 +300,6 @@ def assemble_adiabatic(trace: TransportTrace, family: FlatBundleFamily,
     cq = np.empty((m, N), complex)
     aref_dot = np.empty((m, 2))
     sigma_t = np.empty((m, 2))
-    twists = trace.states[0].cfg.twists
     ref = np.empty((m, 2))
     ts = [i / m for i in range(m)]
     for i, t in enumerate(ts):
@@ -332,10 +327,8 @@ def assemble_adiabatic(trace: TransportTrace, family: FlatBundleFamily,
     end = trace.states[-1]
     if abs(end.t - 1.0) > 1e-9:
         raise PeriodicityMismatch("trace does not reach t = 1", t=end.t)
-    hol1 = family.holonomies(1.0)
-    ref1 = -TWO_PI * (hol1[k0] - base[k0])
-    dev_end = np.stack([end.cfg.alpha[0] - 1j * ref1[0],
-                        end.cfg.alpha[1] - 1j * ref1[1]])
+    ref1 = -TWO_PI * (family.holonomies(1.0)[k0] - base[k0])
+    dev_end = np.stack(end.cfg.alpha) - 1j * ref1[:, None, None]
     mis_dev = np.max(np.abs(dev_end - seam.push_form(dev[0])))
     mis_phi = np.max(np.abs(end.cfg.Phi - seam.push_section(Phi[0])))
     if max(mis_dev, mis_phi) > SEAM_TOL:
@@ -778,7 +771,11 @@ def random_tangent(Xi: Config3D, rng: np.random.Generator,
     R = Xi.seam.order
     Mt = R * m
     bt = max(2, (m // 4))
-    bs = band if band is not None else max(2, n // 4)
+    # the grid map sends mode k to F^-r k, spreading the band by rho (2 at
+    # orders 3 and 6, else 1); rho bs < n / 2 keeps the orbit off Nyquist
+    rho = max(np.abs(np.linalg.matrix_power(Xi.seam._Finv, r)).sum(1).max()
+              for r in range(1, 7))
+    bs = band if band is not None else n // (2 * rho + 2)
 
     def smooth(count):
         shape = (Mt, n, n, count)
@@ -912,7 +909,7 @@ def save_config3d(prefix: str, Xi: Config3D, eps: float) -> List[str]:
     manifest = {
         "m": Xi.m, "eps": eps,
         "fstar": Xi.family.mc.fstar.to_lists(),
-        "lifts": Xi.seam.W.tolist(),
+        "seam_gauge": Xi.seam.gauge.tolist(),
         "files": written,
     }
     with open(prefix + ".manifest.json", "w") as fh:

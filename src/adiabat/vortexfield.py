@@ -210,6 +210,23 @@ def toroidal_distance(a, b) -> float:
     return float(np.max(np.abs(d)))
 
 
+def invariant_modulus(fstar) -> complex:
+    """A modulus mu whose flat structure f preserves: the default curve of
+    a family over f.
+
+    With C = F^T, f preserves C/(Z + mu Z) when C10 mu^2 + (C00 - C11) mu
+    - C01 = 0.  An elliptic f* has one root with Im mu > 0: i at order 4,
+    +-1/2 + i sqrt(3)/2 at orders 3 and 6 (-1/2 for 0,-1;1,1).  Every mu is
+    invariant under +-1 and none under a parabolic or hyperbolic f*; these
+    get i.
+    """
+    (a, b), (_, d) = fstar
+    disc = (a + d) ** 2 - 4
+    if disc >= 0:
+        return 1j
+    return complex(d - a, math.copysign(math.sqrt(-disc), b)) / (2 * b)
+
+
 # -- inner products ---------------------------------------------------------
 
 def integral(curve: FlatCurve, vals: np.ndarray) -> complex:

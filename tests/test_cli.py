@@ -45,8 +45,22 @@ class TestParsing:
         assert "bad --matrix" in json.loads(err)["message"]
 
     def test_usage_error_exits_one(self, capsys):
-        code, _, _ = run(capsys, ["count", "--rank", "1", "--degree", "2"])
-        assert code == 1
+        """Usage errors exit 1 with one JSON object on stderr."""
+        for argv in (["count", "--rank", "1", "--degree", "2"],
+                     ["braid-make", "--matrix=-1,0;0,-1", "--rank", "2"],
+                     ["count", "--matrix", "2,1;1,1", "--rank", "x",
+                      "--degree", "2"],
+                     []):
+            code, out, err = run(capsys, argv)
+            assert code == 1
+            assert out == ""
+            assert strict_json(err)["error"] == "ValueError"
+
+    @pytest.mark.parametrize("argv", [["--help"], ["newton", "--help"]])
+    def test_help_exits_zero(self, capsys, argv):
+        code, out, _ = run(capsys, argv)
+        assert code == 0
+        assert "usage" in out
 
     @pytest.mark.parametrize("argv, code", [
         (["vortex", "--holonomies", "0.13,-0.21;-0.32,0.05"], 0),
@@ -223,6 +237,55 @@ class TestNumericalLayer:
                                     "--grid", "8", "--slices", "8"])
         assert code == 1
         assert strict_json(err)["error"] == "periodicity_mismatch"
+
+    @pytest.mark.parametrize("matrix, rank, target, count", [
+        ("-1,0;0,-1", 2, [0, 1], 2),
+        ("-1,0;0,-1", 3, [1, 1], 1),
+        ("0,-1;1,0", 2, [0, 0], 2),
+        ("0,-1;1,0", 3, [0, 1], 1),
+        ("0,-1;1,1", 2, [0, 0], 2),
+    ])
+    def test_made_braids_refine(self, capsys, tmp_path, matrix, rank, target,
+                                count):
+        """Every braid braid-make emits over a finite-order f* passes newton
+        and check-identities on the curve f* preserves."""
+        targets = tmp_path / "targets.json"
+        targets.write_text(json.dumps([{"class": target, "count": count}]))
+        b = str(tmp_path / "b.json")
+        assert main(["braid-make", f"--matrix={matrix}", "--rank", str(rank),
+                     "--targets", str(targets), "--out", b]) == 0
+        argv = ["--braid", b, "--grid", "8", "--slices", "8"]
+        code, out, err = run(capsys, ["newton", *argv, "--eps", "0.2"])
+        assert code == 0, err
+        log = strict_json(out)[0]["iterations"]
+        assert log[-1]["residual_0_2_eps"] < 1e-9
+        code, out, err = run(capsys, ["check-identities", *argv])
+        assert code == 0, err
+        report = strict_json(out)
+        assert report["identity0"] < 1e-6
+        assert report["identity1"] < 1e-6
+
+    def test_hyperbolic_braid_has_no_invariant_structure(self, capsys,
+                                                         tmp_path):
+        targets = tmp_path / "targets.json"
+        targets.write_text(json.dumps([{"class": [0, 0], "count": 1}]))
+        b = str(tmp_path / "b.json")
+        assert main(["braid-make", "--matrix", "2,1;1,1", "--rank", "2",
+                     "--targets", str(targets), "--out", b]) == 0
+        argv = ["--braid", b, "--grid", "8", "--slices", "8"]
+        for extra in ([], ["--modulus", "0.2", "1.0"]):
+            for command in ("newton", "check-identities"):
+                code, out, err = run(capsys, [command, *argv, *extra])
+                assert code == 1
+                assert out == ""
+                payload = strict_json(err)
+                assert payload["error"] == "periodicity_mismatch"
+                assert "hyperbolic" in payload["message"]
+        # transport needs no f-invariant structure
+        code, out, _ = run(capsys, ["transport", "--braid", b, "--grid", "8",
+                                    "--tsteps", "20"])
+        assert code == 0
+        assert strict_json(out)["match"] is True
 
     def test_check_identities(self, capsys, braid_file):
         code, out, _ = run(capsys, [

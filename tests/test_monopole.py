@@ -1,19 +1,55 @@
 """Three-dimensional assembly, the epsilon-deformed map, and Newton descent."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from adiabat.monopole import (Tangent3D, adiabatic_config,
+from adiabat.braid import TorusBraid, braid_construct
+from adiabat.errors import PeriodicityMismatch
+from adiabat.monopole import (SeamGluing, Tangent3D, adiabatic_config,
                               adiabatic_residual, assemble_adiabatic,
-                              config_norm_diff,
+                              build_seam, config_norm_diff,
                               config_update, dsw_apply, identity_check, ip3,
                               linearize_apply,
                               newton_refine, quadratic_term, random_tangent,
                               save_config3d, sw_map, weighted_norm)
-from adiabat.transport import transported
-from adiabat.vortexfield import FlatCurve, smooth_family
+from adiabat.topology import validate_mapping_class
+from adiabat.transport import transported, vortex_seed
+from adiabat.vortexfield import (FlatBundleFamily, FlatCurve,
+                                 invariant_modulus, smooth_family)
+from adiabat.zlattice import IntMatrix, cokernel
 
 MU = 0.2 + 1.0j
+MINUS_ID = [[-1, 0], [0, -1]]
+
+
+def made_braid(rows, rank, targets):
+    """``braid-make``: a braid over f* = rows meeting the class counts."""
+    mc = validate_mapping_class(1, IntMatrix.from_rows(rows))
+    grp = cokernel(mc.one_minus_fstar)
+    return braid_construct(mc, {grp.normalize(c): k for c, k in targets},
+                           rank)
+
+
+def winding_braid():
+    """f* = identity; strand 1 winds once in x past the constant strand 0."""
+    mc = validate_mapping_class(1, IntMatrix.identity(2))
+    q = Fraction
+    strands = (((q(0), q(1, 4), q(1, 4)), (q(1), q(1, 4), q(1, 4))),
+               ((q(0), q(3, 4), q(1, 2)), (q(1), q(7, 4), q(1, 2))))
+    return TorusBraid(2, strands, (0, 1), mc)
+
+
+def seam_of(family, n):
+    """The seam of a family on the curve its f* preserves, first fixed
+    strand active."""
+    curve = FlatCurve(invariant_modulus(family.mc.fstar.to_lists()), n)
+    k0 = [k for k, j in enumerate(family.closing_permutation) if j == k][0]
+    return build_seam(curve, family, k0, vortex_seed(curve, family, k0).twists)
+
+
+README_BRAID = (MINUS_ID, 2, [([0, 1], 1), ([1, 0], 1)])
 
 
 @pytest.fixture(scope="module")
@@ -35,6 +71,82 @@ class TestAssembly:
         vals = [weighted_norm(Xi, sw_map(Xi, e), e).value for e in (0.2, 0.1)]
         ratio = vals[0] / vals[1]
         assert 1.6 < ratio < 2.4
+
+
+class TestSeam:
+    def test_maps_smooth_sections_to_smooth_sections(self):
+        """U carries a smooth twist-theta_sigma(k) section to a smooth
+        twist-theta_k one: without the lattice-wrap phase, component 1 of
+        the README braid has a fifth of its peak in modes |k| >= 6."""
+        seam = seam_of(FlatBundleFamily.from_braid(made_braid(*README_BRAID)),
+                       16)
+        curve = seam.curve
+        M, K = curve.modes()
+        size = np.maximum(np.abs(M), np.abs(K))
+        rng = np.random.default_rng(0)
+        shape = (2, 16, 16)
+        coef = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        image = seam.push_section(curve.from_modes(coef * (size <= 2),
+                                                   seam.twists))
+        out = np.abs(curve.to_modes(image, seam.twists))
+        assert np.max(out[:, size >= 6]) < 1e-3 * np.max(out)
+
+    @pytest.mark.parametrize("family, n, order", [
+        (smooth_family(), 8, 1),
+        (FlatBundleFamily.from_braid(made_braid(*README_BRAID)), 8, 2),
+        (FlatBundleFamily.from_braid(
+            made_braid([[0, -1], [1, 0]], 2, [([0, 0], 2)])), 8, 4),
+        (FlatBundleFamily.from_braid(
+            made_braid([[0, -1], [1, 1]], 2, [([0, 0], 2)])), 8, 6),
+        (FlatBundleFamily.from_braid(winding_braid()), 16, 16),
+    ], ids=["smooth", "readme", "order4", "order6", "winding"])
+    def test_order_is_exact(self, family, n, order):
+        """The integer order is the least power of U that is the identity
+        on random data of every kind."""
+        seam = seam_of(family, n)
+        assert seam.order == order
+        rng = np.random.default_rng(1)
+        N = len(seam.perm)
+        probes = {kind: rng.standard_normal(shape)
+                  + 1j * rng.standard_normal(shape)
+                  for kind, shape in (("scalar", (n, n)),
+                                      ("form", (2, n, n)),
+                                      ("section", (N, n, n)),
+                                      ("form01", (N, n, n)))}
+
+        def moved(r):
+            out = {}
+            for kind, arr in probes.items():
+                for _ in range(r):
+                    arr = seam.apply(arr, kind)
+                out[kind] = float(np.max(np.abs(arr - probes[kind])))
+            return max(out.values())
+
+        assert moved(order) < 1e-12
+        for p in (2, 3, 5):
+            if order % p == 0:
+                assert moved(order // p) > 1e-3
+
+    def test_rejects_grid_map_without_unit_determinant(self):
+        with pytest.raises(PeriodicityMismatch):
+            SeamGluing(FlatCurve(1j, 8), 2 * np.eye(2, dtype=int), (0,),
+                       np.zeros((1, 2)), np.zeros((1, 2), int))
+
+    def test_moving_active_strand_refines(self):
+        """The f* = -1 braid with a moving strand, refined with that strand
+        active, contracts quadratically at eps 0.2."""
+        family = FlatBundleFamily.from_braid(
+            made_braid(MINUS_ID, 2, [([0, 1], 2)]))
+        curve = FlatCurve(1j, 8)
+        Xi = assemble_adiabatic(transported(curve, family, 1, 32), family, 8,
+                                k0=1)
+        _, log = newton_refine(Xi, eps=0.2, tol=1e-9)
+        res = [entry["residual_0_2_eps"] for entry in log]
+        assert res[0] > 1.0
+        assert res[-1] < 1e-9
+        for a, b in zip(res, res[1:]):
+            if a < 1e-1:
+                assert b < 10 * a ** 2
 
 
 class TestLinearization:

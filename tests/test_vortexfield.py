@@ -8,8 +8,8 @@ import pytest
 from adiabat.errors import HolonomyMismatch, NoHolomorphicSection
 from adiabat.vortexfield import (FlatBundleFamily, FlatCurve, d_scalar,
                                  d_star, dolbeault_adjoint, dolbeault_apply,
-                                 integral, ip_form01, ip_section, load_field,
-                                 moment_residual, save_field, smooth_family,
+                                 integral, invariant_modulus, ip_form01,
+                                 ip_section, load_field, moment_residual, save_field, smooth_family,
                                  star_d, vortex_solve, wrap_twist)
 
 MU = 0.2 + 1.0j
@@ -47,6 +47,25 @@ class TestFlatCurve:
     def test_rejects_non_finite(self, modulus, area):
         with pytest.raises(ValueError):
             FlatCurve(modulus, 16, area)
+
+    @pytest.mark.parametrize("fstar, mu", [
+        ([[1, 0], [0, 1]], 1j),
+        ([[-1, 0], [0, -1]], 1j),
+        ([[0, -1], [1, 0]], 1j),
+        ([[0, 1], [-1, 0]], 1j),
+        ([[0, -1], [1, 1]], complex(-0.5, math.sqrt(0.75))),
+        ([[-1, -1], [1, 0]], complex(-0.5, math.sqrt(0.75))),
+        ([[0, -1], [1, -1]], complex(0.5, math.sqrt(0.75))),
+        ([[2, 1], [1, 1]], 1j),
+        ([[1, 1], [0, 1]], 1j),
+    ])
+    def test_invariant_modulus(self, fstar, mu):
+        got = invariant_modulus(fstar)
+        assert abs(got - mu) < 1e-15
+        (c00, c10), (c01, c11) = fstar
+        if abs(c00 + c11) < 2:
+            # f preserves the structure: C10 mu^2 + (C00 - C11) mu = C01
+            assert abs(c10 * got ** 2 + (c00 - c11) * got - c01) < 1e-15
 
     def test_wrap_twist_range(self):
         w = wrap_twist(np.array([0.7, -0.5, 1.2, -1.49]))
