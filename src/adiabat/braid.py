@@ -26,12 +26,6 @@ Breakpoint = Tuple[Fraction, Fraction, Fraction]  # (t, x, y)
 Strand = Tuple[Breakpoint, ...]
 
 
-def _frac(x) -> Fraction:
-    if isinstance(x, str):
-        return Fraction(x)
-    return Fraction(x)
-
-
 def _is_integral(v: Sequence[Fraction]) -> bool:
     return all(c.denominator == 1 for c in v)
 
@@ -87,7 +81,7 @@ class TorusBraid:
         data = json.loads(text)
         mc = validate_mapping_class(1, IntMatrix.from_rows(data["fstar"]))
         strands = tuple(
-            tuple((_frac(t), _frac(x), _frac(y)) for (t, x, y) in s)
+            tuple((Fraction(t), Fraction(x), Fraction(y)) for (t, x, y) in s)
             for s in data["strands"])
         return TorusBraid(N=data["N"], strands=strands,
                           closing_permutation=tuple(data["closing_permutation"]),

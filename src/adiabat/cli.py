@@ -254,9 +254,13 @@ def _add_matrix_flags(p):
     p.add_argument("--genus", type=int, default=1)
 
 
-def _add_output_flags(p):
-    p.add_argument("--format", choices=["json", "csv"], default="json")
+def _add_out_flag(p):
     p.add_argument("--out", default=None, help="write output to a file")
+
+
+def _add_table_flags(p):
+    p.add_argument("--format", choices=["json", "csv"], default="json")
+    _add_out_flag(p)
 
 
 def _add_numeric_flags(p):
@@ -266,6 +270,13 @@ def _add_numeric_flags(p):
                    help="curve modulus (default: one that f* preserves, "
                         "i for vortex)")
     p.add_argument("--tau", type=float, default=2.0)
+
+
+def _add_family_flags(p, tsteps):
+    """The braid family, its transport and its curve."""
+    p.add_argument("--braid", required=True)
+    p.add_argument("--tsteps", type=int, default=tsteps)
+    _add_numeric_flags(p)
     p.add_argument("--tolerance", type=float, default=1e-6)
 
 
@@ -290,24 +301,24 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spinc", help="enumerate degree-d spin^c classes")
     _add_matrix_flags(p)
     p.add_argument("--degree", type=int, required=True)
-    _add_output_flags(p)
+    _add_table_flags(p)
     p.set_defaults(func=cmd_spinc)
 
     p = sub.add_parser("fix", help="Jacobian fixed points with classes")
     _add_matrix_flags(p)
-    _add_output_flags(p)
+    _add_table_flags(p)
     p.set_defaults(func=cmd_fix)
 
     p = sub.add_parser("count", help="large-degree signed count table")
     _add_matrix_flags(p)
     p.add_argument("--rank", type=int, required=True, help="spinor rank N")
     p.add_argument("--degree", type=int, required=True)
-    _add_output_flags(p)
+    _add_table_flags(p)
     p.set_defaults(func=cmd_count)
 
     p = sub.add_parser("braid-census", help="census of a braid file")
     p.add_argument("--braid", required=True)
-    _add_output_flags(p)
+    _add_table_flags(p)
     p.set_defaults(func=cmd_braid_census)
 
     p = sub.add_parser("braid-make",
@@ -316,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("--targets", required=True,
                    help='JSON file: [{"class": [..], "count": k}, ...]')
-    _add_output_flags(p)
+    _add_out_flag(p)
     p.set_defaults(func=cmd_braid_make)
 
     p = sub.add_parser("vortex", help="single framed multi-vortex solve")
@@ -325,38 +336,31 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--component", type=int, default=0,
                    help="summand carrying the holomorphic section")
     _add_numeric_flags(p)
-    _add_output_flags(p)
+    _add_out_flag(p)
     p.set_defaults(func=cmd_vortex)
 
     p = sub.add_parser("transport",
                        help="numeric monodromy of a braid family")
-    p.add_argument("--braid", required=True)
-    p.add_argument("--tsteps", type=int, default=200)
-    _add_numeric_flags(p)
-    _add_output_flags(p)
+    _add_family_flags(p, tsteps=200)
+    _add_out_flag(p)
     p.set_defaults(func=cmd_transport)
 
     p = sub.add_parser("newton",
                        help="adiabatic assembly plus refinement over eps")
-    p.add_argument("--braid", required=True)
-    p.add_argument("--tsteps", type=int, default=128)
+    _add_family_flags(p, tsteps=128)
     p.add_argument("--slices", type=int, default=16,
                    help="t-slices m of the 3D configuration")
     p.add_argument("--eps", default="0.2,0.1,0.05",
                    help="comma-separated eps list")
-    _add_numeric_flags(p)
-    _add_output_flags(p)
+    _add_out_flag(p)
     p.set_defaults(func=cmd_newton)
 
     p = sub.add_parser("check-identities",
                        help="operator identity residuals at a solution")
-    p.add_argument("--braid", required=True)
-    p.add_argument("--tsteps", type=int, default=128)
+    _add_family_flags(p, tsteps=128)
     p.add_argument("--slices", type=int, default=16)
     p.add_argument("--samples", type=int, default=10)
     p.add_argument("--seed", type=int, default=7)
-    _add_numeric_flags(p)
-    _add_output_flags(p)
     p.set_defaults(func=cmd_check_identities)
 
     return ap

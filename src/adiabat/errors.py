@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
+
 
 class AdiabatError(Exception):
     """Base class; ``code`` is a stable machine-readable identifier."""
@@ -31,13 +33,8 @@ class AdiabatError(Exception):
 
 
 def _plain(v):
-    try:
-        import numpy as np
-
-        if isinstance(v, (np.generic, np.ndarray)):
-            return _plain(v.tolist())
-    except ImportError:  # pragma: no cover
-        pass
+    if isinstance(v, (np.generic, np.ndarray)):
+        return _plain(v.tolist())
     if isinstance(v, Fraction):
         return str(v)
     if isinstance(v, float) and not math.isfinite(v):
@@ -81,10 +78,6 @@ class TargetsExceedRank(AdiabatError):
 
 class UnrealizableClass(AdiabatError):
     code = "unrealizable_class"
-
-
-class NoHolomorphicSection(AdiabatError):
-    code = "no_holomorphic_section"
 
 
 class HolonomyMismatch(AdiabatError):

@@ -32,14 +32,21 @@ from scipy.sparse.linalg import LinearOperator, gmres
 from .errors import (Divergence, LinearSolveFailure, NonConvergence,
                      PeriodicityMismatch)
 from .transport import TransportTrace, VortexStack, aux_spinor, transported
-from .vortexfield import (FlatBundleFamily, FlatCurve, _tau_grid, d_scalar,
-                          d_star, dolbeault_adjoint, dolbeault_apply,
-                          flat_deviation_q, form_pq, form_xy, save_field,
-                          star_d)
+from .vortexfield import (Dolbeault, FlatBundleFamily, FlatCurve, _tau_grid,
+                          d_scalar, d_star, form_pq, form_q, form_xy,
+                          save_field, star_d)
 
 TWO_PI = 2.0 * math.pi
 # largest seam mismatch of a transported end state that assembly accepts
 SEAM_TOL = 1e-5
+# Newton refinement: stopping residual in the (0, 2, eps) norm and
+# iteration cap; GMRES relative tolerance and restart cycles per step
+NEWTON_TOL = 1e-9
+NEWTON_MAX_ITER = 12
+GMRES_TOL = 1e-8
+GMRES_MAXITER = 40
+# regularization of the mode-by-mode preconditioner's blocks
+PRECONDITIONER_DELTA = 1e-3
 
 
 # ---------------------------------------------------------------------------
@@ -153,6 +160,13 @@ class Config3D:
     aref_dot: np.ndarray       # (m, 2) active-strand velocity
     sigma_t: np.ndarray        # (m, 2)
     tau_grid: np.ndarray       # (n, n)
+    # dbar_beta of the slices, beta the connection deviation dev plus the
+    # flat constants cq; rebuilt whenever a configuration is made
+    dbar: Dolbeault = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        q = _q_of(self, self.dev)[:, None] + self.cq[:, :, None, None]
+        self.dbar = Dolbeault(self.curve, self.twists, q)
 
     @property
     def N(self) -> int:
@@ -211,25 +225,17 @@ def d_t(Xi: Config3D, arr: np.ndarray, kind: str) -> np.ndarray:
     return out[:Xi.m]
 
 
+def _grad_t_section(Xi: Config3D, arr: np.ndarray, kind: str) -> np.ndarray:
+    return d_t(Xi, arr, kind) + Xi.b[:, None] * arr
+
+
 # ---------------------------------------------------------------------------
 # Sigma operators, applied to all slices at once (slice axis first)
 # ---------------------------------------------------------------------------
 
 def _q_of(Xi: Config3D, a: np.ndarray) -> np.ndarray:
-    return form_pq(Xi.curve, a[:, 0], a[:, 1])[1]
-
-
-def _q_conn(Xi: Config3D) -> np.ndarray:
-    """(m, N, n, n) dzbar coefficient of the connection deviation of Xi."""
-    return _q_of(Xi, Xi.dev)[:, None] + Xi.cq[:, :, None, None]
-
-
-def _dbar(Xi: Config3D, s: np.ndarray) -> np.ndarray:
-    return dolbeault_apply(Xi.curve, s, Xi.twists, qbeta=_q_conn(Xi))
-
-
-def _dbar_star(Xi: Config3D, w: np.ndarray) -> np.ndarray:
-    return dolbeault_adjoint(Xi.curve, w, Xi.twists, qbeta=_q_conn(Xi))
+    """(m, n, n) dzbar coefficient of an (m, 2, n, n) stack of 1-forms."""
+    return form_q(Xi.curve, a[:, 0], a[:, 1])
 
 
 def _star1(curve: FlatCurve, axy: np.ndarray) -> np.ndarray:
@@ -312,7 +318,8 @@ def assemble_adiabatic(trace: TransportTrace, family: FlatBundleFamily,
         ref[i] = -TWO_PI * (hol[k0] - base[k0])
         dev[i] = cfg.alpha
         Phi[i] = cfg.Phi
-        cq[i] = flat_deviation_q(curve, (hol - base) - (hol[k0] - base[k0]))
+        da = (hol - base) - (hol[k0] - base[k0])
+        cq[i] = 2j * math.pi * form_q(curve, da[:, 0], da[:, 1])
         aref_dot[i] = family.paths[k0].deriv(t)
         sigma_t[i] = family.sigma(t)
     Psi = aux_spinor(VortexStack(curve, dev, Phi, twists), family, ts)[1]
@@ -379,14 +386,14 @@ def sw_map(Xi: Config3D, eps: float) -> Tangent3D:
     eta = _pair01(Xi.Psi, Xi.Phi)
     a = _star1(curve, one) - d_scalar(curve, Xi.V) \
         - 1j * _im_form01(curve, eta)
-    grad_phi = d_t(Xi, Xi.Phi, "section") + Xi.b[:, None] * Xi.Phi
-    phi = -1j * grad_phi + _dbar_star(Xi, Xi.Psi) - Xi.V[:, None] * Xi.Phi
+    phi = -1j * _grad_t_section(Xi, Xi.Phi, "section") \
+        + Xi.dbar.adjoint(Xi.Psi) - Xi.V[:, None] * Xi.Phi
     moment = star_d(curve, Xi.dev[:, 0], Xi.dev[:, 1]) \
         - 0.5j * np.sum(np.abs(Xi.Phi) ** 2, axis=1) + 1j * Xi.tau_grid
     c = ie2 * moment - d_t(Xi, Xi.V, "scalar") \
         + 0.5j * curve.form_weight * np.sum(np.abs(Xi.Psi) ** 2, axis=1)
-    grad_psi = d_t(Xi, Xi.Psi, "form01") + Xi.b[:, None] * Xi.Psi
-    psi = 1j * grad_psi + ie2 * _dbar(Xi, Xi.Phi) - Xi.V[:, None] * Xi.Psi
+    psi = 1j * _grad_t_section(Xi, Xi.Psi, "form01") \
+        + ie2 * Xi.dbar.apply(Xi.Phi) - Xi.V[:, None] * Xi.Psi
     return Tangent3D(a=a, phi=phi, v=np.zeros_like(Xi.V), c=c, psi=psi)
 
 
@@ -410,7 +417,7 @@ def herm_re(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 def block_S(Xi: Config3D, a: np.ndarray, phi: np.ndarray):
     c = star_d(Xi.curve, a[:, 0], a[:, 1]) - 1j * herm_re(Xi.Phi, phi)
-    psi = -_q_of(Xi, a)[:, None] * Xi.Phi - _dbar(Xi, phi)
+    psi = -_q_of(Xi, a)[:, None] * Xi.Phi - Xi.dbar.apply(phi)
     return c, psi
 
 
@@ -418,7 +425,7 @@ def block_Sstar(Xi: Config3D, c: np.ndarray, psi: np.ndarray):
     eta = _pair01(psi, Xi.Phi)
     a = -_star1(Xi.curve, d_scalar(Xi.curve, c)) \
         - 1j * _im_form01(Xi.curve, eta)
-    phi = 1j * c[:, None] * Xi.Phi - _dbar_star(Xi, psi)
+    phi = 1j * c[:, None] * Xi.Phi - Xi.dbar.adjoint(psi)
     return a, phi
 
 
@@ -435,16 +442,16 @@ def block_Lstar(Xi: Config3D, c: np.ndarray, psi: np.ndarray) -> np.ndarray:
 
 def block_M(Xi: Config3D, c: np.ndarray, psi: np.ndarray):
     oc = 1j * Xi.curve.form_weight * herm_re(Xi.Psi, psi)
-    grad = d_t(Xi, psi, "form01") + Xi.b[:, None] * psi
-    return oc, -1j * c[:, None] * Xi.Psi - 1j * grad
+    return oc, -1j * c[:, None] * Xi.Psi \
+        - 1j * _grad_t_section(Xi, psi, "form01")
 
 
 def block_N(Xi: Config3D, a: np.ndarray, phi: np.ndarray):
     w = Xi.curve.form_weight
     eta = _pair01(Xi.Psi, phi)
     oa = _star1(Xi.curve, d_t(Xi, a, "form")) - 1j * _im_form01(Xi.curve, eta)
-    grad = d_t(Xi, phi, "section") + Xi.b[:, None] * phi
-    ophi = -w * np.conj(_q_of(Xi, a))[:, None] * Xi.Psi + 1j * grad
+    ophi = -w * np.conj(_q_of(Xi, a))[:, None] * Xi.Psi \
+        + 1j * _grad_t_section(Xi, phi, "section")
     return oa, ophi
 
 
@@ -545,7 +552,7 @@ def _lp(Xi: Config3D, sq: np.ndarray, p: float) -> float:
 class WeightedNormReport:
     eps: float
     p: float
-    level: object
+    level: int
     value: float
 
 
@@ -554,27 +561,20 @@ def weighted_norm(Xi: Config3D, xi: Tangent3D, eps: float, p: float = 2,
     """The norms of the refinement scheme at reference Xi.
 
     level 0: || |x| + e|v| + e|y| ||_p in the displayed integral sense;
-    level 1 adds the operator blocks at Xi with their eps weights;
-    level 'inf' is the sup norm ||x||_inf + e||v||_inf + e||y||_inf.
+    level 1 adds the operator blocks at Xi with their eps weights.
     """
-    x_sq = _pointwise_sq(Xi, [(xi.a, "form"), (xi.phi, "section")])
-    v_sq = _pointwise_sq(Xi, [(xi.v, "scalar")])
-    y_sq = _pointwise_sq(Xi, [(xi.c, "scalar"), (xi.psi, "form01")])
-    if level == "inf" or (isinstance(level, float) and math.isinf(level)):
-        val = math.sqrt(float(np.max(x_sq))) \
-            + eps * math.sqrt(float(np.max(v_sq))) \
-            + eps * math.sqrt(float(np.max(y_sq)))
-        return WeightedNormReport(eps=eps, p=float("inf"), level="inf",
-                                  value=val)
     if p < 2:
         raise ValueError("need p >= 2")
     if level == 0:
+        x_sq = _pointwise_sq(Xi, [(xi.a, "form"), (xi.phi, "section")])
+        v_sq = _pointwise_sq(Xi, [(xi.v, "scalar")])
+        y_sq = _pointwise_sq(Xi, [(xi.c, "scalar"), (xi.psi, "form01")])
         total = _lp(Xi, x_sq, p) + eps ** p * _lp(Xi, v_sq, p) \
             + eps ** p * _lp(Xi, y_sq, p)
         return WeightedNormReport(eps=eps, p=p, level=0,
                                   value=total ** (1.0 / p))
     if level != 1:
-        raise ValueError("level must be 0, 1 or 'inf'")
+        raise ValueError("level must be 0 or 1")
     Gs = block_Gstar(Xi, xi.a, xi.phi)
     Sc, Spsi = block_S(Xi, xi.a, xi.phi)
     Na, Nphi = block_N(Xi, xi.a, xi.phi)
@@ -638,7 +638,7 @@ class _ModePreconditioner:
     for the Newton GMRES solves.
     """
 
-    def __init__(self, Xi: Config3D, eps: float, delta: float = 1e-3):
+    def __init__(self, Xi: Config3D, eps: float):
         curve = Xi.curve
         self.Xi = Xi
         Mt = Xi.seam.order * Xi.m
@@ -660,16 +660,16 @@ class _ModePreconditioner:
                       -ie2 * 2j * curve.imu / curve.area * ZP,
                       -1j * O, Z], axis=-1),
         ], axis=-2)
-        A4 = A4 + delta * np.eye(4)
+        A4 = A4 + PRECONDITIONER_DELTA * np.eye(4)
         self.inv4 = np.linalg.inv(A4)          # (Mt, n, n, 4, 4)
         w = curve.form_weight
         O = om.reshape(-1, 1, 1, 1) * np.ones((1, Xi.N, n, n))
-        L = np.broadcast_to(curve.lam(Xi.twists), O.shape)
+        L = np.broadcast_to(Xi.dbar.lam, O.shape)
         A2 = np.stack([
             np.stack([1j * O, -w * np.conj(L)], axis=-1),
             np.stack([-ie2 * L, -1j * O], axis=-1),
         ], axis=-2)
-        A2 = A2 + delta * np.eye(2)
+        A2 = A2 + PRECONDITIONER_DELTA * np.eye(2)
         self.inv2 = np.linalg.inv(A2)          # (Mt, N, n, n, 2, 2)
 
     def apply(self, xi: Tangent3D) -> Tangent3D:
@@ -696,15 +696,13 @@ class _ModePreconditioner:
                          phi=phi_s, v=v_s, c=c_s, psi=psi_s)
 
 
-def newton_refine(Xi0: Config3D, eps: float, tol: float = 1e-9,
-                  max_iter: int = 12, gmres_tol: float = 1e-8,
-                  gmres_maxiter: int = 40) -> Tuple[Config3D, List[Dict]]:
+def newton_refine(Xi0: Config3D, eps: float) -> Tuple[Config3D, List[Dict]]:
     """Gauge-fixed Newton iteration from the adiabatic configuration.
 
     Each step solves D_eps(Xi_k) xi = (-R1, +R2, 0, -R4, +R5) for the
     current five-row residual R, enforcing the Coulomb-type gauge row by
-    construction, and updates Xi.  Stops below tol in the (0,2,eps) norm;
-    two consecutive residual increases abort with Divergence.
+    construction, and updates Xi.  Stops below NEWTON_TOL in the (0,2,eps)
+    norm; two consecutive residual increases abort with Divergence.
     """
     Xi = Xi0
     log: List[Dict] = []
@@ -714,10 +712,10 @@ def newton_refine(Xi0: Config3D, eps: float, tol: float = 1e-9,
     # reads only the curve, the slices, the seam and the twists, which
     # Newton updates leave unchanged
     pre = _ModePreconditioner(Xi0, eps)
-    for k in range(max_iter):
+    for k in range(NEWTON_MAX_ITER):
         R = sw_map(Xi, eps)
         res = weighted_norm(Xi, R, eps, 2, 0).value
-        if res < tol:
+        if res < NEWTON_TOL:
             log.append({"k": k, "residual_0_2_eps": res,
                         "increment_1_2_eps": 0.0})
             return Xi, log
@@ -742,8 +740,8 @@ def newton_refine(Xi0: Config3D, eps: float, tol: float = 1e-9,
 
         op = LinearOperator((size, size), matvec=mv, dtype=float)
         M = LinearOperator((size, size), matvec=pc, dtype=float)
-        sol, info = gmres(op, _pack(rhs), rtol=gmres_tol, atol=0.0, M=M,
-                          maxiter=gmres_maxiter, restart=60)
+        sol, info = gmres(op, _pack(rhs), rtol=GMRES_TOL, atol=0.0, M=M,
+                          maxiter=GMRES_MAXITER, restart=60)
         if info != 0:
             raise LinearSolveFailure(
                 "GMRES did not converge (operator near-singular: eps too "
@@ -754,7 +752,7 @@ def newton_refine(Xi0: Config3D, eps: float, tol: float = 1e-9,
                     "increment_1_2_eps": inc})
         Xi = config_update(Xi, xi)
     res = weighted_norm(Xi, sw_map(Xi, eps), eps, 2, 0).value
-    if res >= tol:
+    if res >= NEWTON_TOL:
         raise NonConvergence("Newton refinement did not reach tolerance",
                              residual=res, log=log)
     return Xi, log
@@ -764,8 +762,7 @@ def newton_refine(Xi0: Config3D, eps: float, tol: float = 1e-9,
 # Appendix identities
 # ---------------------------------------------------------------------------
 
-def random_tangent(Xi: Config3D, rng: np.random.Generator,
-                   band: Optional[int] = None) -> Tangent3D:
+def random_tangent(Xi: Config3D, rng: np.random.Generator) -> Tangent3D:
     """Band-limited smooth random tangent with the correct reality types."""
     m, N, n = Xi.m, Xi.N, Xi.curve.n
     R = Xi.seam.order
@@ -775,7 +772,7 @@ def random_tangent(Xi: Config3D, rng: np.random.Generator,
     # orders 3 and 6, else 1); rho bs < n / 2 keeps the orbit off Nyquist
     rho = max(np.abs(np.linalg.matrix_power(Xi.seam._Finv, r)).sum(1).max()
               for r in range(1, 7))
-    bs = band if band is not None else n // (2 * rho + 2)
+    bs = n // (2 * rho + 2)
 
     def smooth(count):
         shape = (Mt, n, n, count)
@@ -809,10 +806,6 @@ def random_tangent(Xi: Config3D, rng: np.random.Generator,
     return Tangent3D(a=a, phi=phi, v=v, c=c, psi=psi)
 
 
-def _grad_t_section(Xi: Config3D, arr: np.ndarray, kind: str) -> np.ndarray:
-    return d_t(Xi, arr, kind) + Xi.b[:, None] * arr
-
-
 def identity_check(Xi: Config3D, samples: int = 10,
                    seed: int = 7) -> Dict[str, float]:
     """Sup residuals of the three operator identities on random inputs.
@@ -830,7 +823,7 @@ def identity_check(Xi: Config3D, samples: int = 10,
         raise ValueError("identity_check needs at least one sample")
     rng = np.random.default_rng(seed)
     fixed = (_grad_t_section(Xi, Xi.Psi, "form01"),
-             _grad_t_section(Xi, Xi.Phi, "section"), _dbar(Xi, Xi.Psi))
+             _grad_t_section(Xi, Xi.Phi, "section"), Xi.dbar.apply(Xi.Psi))
     out = (0.0, 0.0, 0.0)
     for _ in range(samples):
         res = _identity_residuals(Xi, random_tangent(Xi, rng), *fixed)
@@ -877,8 +870,8 @@ def _identity_residuals(Xi: Config3D, xi: Tangent3D, gPsi: np.ndarray,
     eta2 = np.conj(_pair01(xi.psi, Xi.Phi))[:, None]
     r_phi = (-2.0 * gPhi + 1j * Xi.V[:, None] * Xi.Phi) * xi.c[:, None] \
         - w * eta1 * Xi.Phi + 0.5 * w * eta2 * Xi.Psi
-    gdbar = _grad_t_section(Xi, _dbar_star(Xi, xi.psi), "section")
-    dbarg = _dbar_star(Xi, _grad_t_section(Xi, xi.psi, "form01"))
+    gdbar = _grad_t_section(Xi, Xi.dbar.adjoint(xi.psi), "section")
+    dbarg = Xi.dbar.adjoint(_grad_t_section(Xi, xi.psi, "form01"))
     r_phi += -1j * (gdbar - dbarg)
     id2 = max(float(np.max(np.abs(lhs_a - r_a))),
               float(np.max(np.abs(lhs_phi - r_phi))))

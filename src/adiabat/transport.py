@@ -11,6 +11,8 @@ where Psi is the unique solution of the elliptic equation
 
 beta_j being the evolving connection on summand j (the stored iR-valued
 1-form alpha plus the flat deviation 2 pi i (a_j(t) - a_j(0)) (dx,dy)).
+dbar_beta and its adjoint are one ``vortexfield.Dolbeault``, built once
+per Psi equation from the twists and the dzbar coefficient of beta.
 Integration is classical RK4 in the b = 0 gauge with substeps aligned to
 the family's breakpoints; the moment-map residual is the step acceptance
 criterion.  One integrator advances a stack of K starts of one family
@@ -32,22 +34,15 @@ import numpy as np
 
 from .braid import TorusBraid, braid_validate
 from .errors import (AmbiguousMatch, SingularOperator, TrackingLoss)
-from .vortexfield import (TWO_PI, FlatBundleFamily, FlatCurve, VortexConfig,
-                          _tau_grid, flat_deviation_q, form_pq,
-                          moment_residuals, toroidal_distance, vortex_solve,
-                          wrap_twist)
+from .vortexfield import (TWO_PI, Dolbeault, FlatBundleFamily, FlatCurve,
+                          VortexConfig, _tau_grid, form_q, moment_residuals,
+                          toroidal_distance, vortex_solve, wrap_twist)
 
 
-# conjugate-gradient iterations a Psi solve may take
+# conjugate-gradient iterations a Psi solve may take, and the residual
+# reduction at which it stops
 PSI_MAXITER = 2000
-
-
-def q_const_real(curve: FlatCurve, v) -> np.ndarray:
-    """dzbar coefficient of the constant real 1-form v_x dx + v_y dy, for
-    one v (2,) or a stack (..., 2)."""
-    v = np.asarray(v, float)
-    mu = curve.modulus
-    return (mu * v[..., 0] - v[..., 1]) / (2j * curve.imu)
+PSI_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -81,43 +76,31 @@ class PsiOperator:
     stack, beta being alpha plus the flat deviations ``q_dev``: (N,) shared
     by the stack, or (K, N).
 
-    The symbols, the connection terms and the preconditioner are built once
+    The Dolbeault operator ``dbar`` and the preconditioner are built once
     and serve every product of a solve.  The preconditioner inverts the
     flat-part Fourier symbol plus the mean density shift.
     """
 
     def __init__(self, stack: VortexStack, q_dev):
-        curve = self.curve = stack.curve
-        w = curve.form_weight
+        curve = stack.curve
         q_dev = np.asarray(q_dev)[..., None, None]
-        self.twists = stack.twists
         self.Phi = stack.Phi
         self.Phi_conj = np.conj(stack.Phi)
-        self.lam = curve.lam(stack.twists)
-        self.lam_adj = w * np.conj(self.lam)
-        q_alpha = form_pq(curve, stack.alpha[:, 0], stack.alpha[:, 1])[1]
-        self.q = q_alpha[:, None] + q_dev
-        self.q_adj = w * np.conj(self.q)
+        q_alpha = form_q(curve, stack.alpha[:, 0], stack.alpha[:, 1])
+        self.dbar = Dolbeault(curve, stack.twists, q_alpha[:, None] + q_dev)
         dens = np.sum(np.abs(stack.Phi) ** 2, axis=-3)
         shift = 0.5 * np.mean(dens, axis=(-2, -1)) + 1e-12
-        self.inv = 1.0 / (w * np.abs(self.lam + q_dev) ** 2
+        self.inv = 1.0 / (curve.form_weight
+                          * np.abs(self.dbar.lam + q_dev) ** 2
                           + shift[:, None, None, None])
 
-    def adjoint(self, Psi: np.ndarray) -> np.ndarray:
-        """dbar_beta* Psi."""
-        out = self.curve.spectral(Psi, self.lam_adj, self.twists)
-        out += self.q_adj * Psi
-        return out
-
     def precondition(self, r: np.ndarray) -> np.ndarray:
-        return self.curve.spectral(r, self.inv, self.twists)
+        return self.dbar.curve.spectral(r, self.inv, self.dbar.twists)
 
 
 def apply_psi_operator(op: PsiOperator, Psi: np.ndarray) -> np.ndarray:
     """dbar dbar* Psi + (1/2) <Psi, Phi> Phi with connection beta."""
-    s = op.adjoint(Psi)
-    out = op.curve.spectral(s, op.lam, op.twists)
-    out += op.q * s
+    out = op.dbar.apply(op.dbar.adjoint(Psi))
     pair = np.sum(Psi * op.Phi_conj, axis=-3)
     out += 0.5 * pair[:, None] * op.Phi
     return out
@@ -128,19 +111,18 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.vecdot(a.reshape(len(a), -1), b.reshape(len(b), -1))
 
 
-def solve_psi(op: PsiOperator, rhs: np.ndarray,
-              rtol: float = 1e-12) -> np.ndarray:
+def solve_psi(op: PsiOperator, rhs: np.ndarray) -> np.ndarray:
     """Solve the Psi equation of every system of the stack by preconditioned
     conjugate gradients.
 
     The operator is Hermitian positive definite at regular parameters (Phi
     not identically zero).  Each system has its own step lengths and stops
-    once its residual norm is below ``rtol`` times that of its right-hand
+    once its residual norm is below ``PSI_RTOL`` times that of its right-hand
     side, the rule of scipy's ``cg``; a zero right-hand side gives zero.
     """
     x = np.zeros_like(rhs)
     r = rhs.copy()
-    bound = rtol * np.sqrt(_dot(rhs, rhs).real)
+    bound = PSI_RTOL * np.sqrt(_dot(rhs, rhs).real)
     p = rho_prev = None
     for _ in range(PSI_MAXITER):
         res = np.sqrt(_dot(r, r).real)
@@ -173,10 +155,12 @@ def _coefficients(curve: FlatCurve, family: FlatBundleFamily, t: float):
     """(q_dev, c) at time t, one entry per component: q_dev_j is the dzbar
     coefficient of the flat deviation a_j(t) - a_j(0), and the Psi equation's
     right-hand side is c_j Phi_j with c_j = q(sigma) + q(2 pi adot_j)."""
-    q_dev = flat_deviation_q(
-        curve, family.holonomies(t) - family.holonomies(0.0))
-    c = q_const_real(curve, family.sigma(t)) \
-        + q_const_real(curve, TWO_PI * family.velocities(t))
+    da = family.holonomies(t) - family.holonomies(0.0)
+    sigma = np.asarray(family.sigma(t), float)
+    adot = TWO_PI * family.velocities(t)
+    q_dev = 2j * math.pi * form_q(curve, da[:, 0], da[:, 1])
+    c = form_q(curve, sigma[0], sigma[1]) \
+        + form_q(curve, adot[:, 0], adot[:, 1])
     return q_dev, c
 
 
@@ -200,7 +184,7 @@ def _velocities(stack: VortexStack, family: FlatBundleFamily, t: float):
     """(alpha_dot, Phi_dot) of the parallel-transport ODE at time t."""
     op, Psi = aux_spinor(stack, family, t)
     sigma = np.asarray(family.sigma(t), float)
-    Phi_dot = -1j * op.adjoint(Psi)
+    Phi_dot = -1j * op.dbar.adjoint(Psi)
     eta = np.sum(Psi * op.Phi_conj, axis=-3)
     alpha_dot = -1j * np.stack(
         [np.real(eta) - sigma[0],

@@ -11,8 +11,8 @@ restore it.  A (0,1)-form is stored through its dz-bar coefficient q, a
 weight of dz-bar is Im(mu)/pi when area = 2 pi.
 
 Arrays.  The grid is always the last two axes.  Every spectral operator
-(``FlatCurve.spectral``, ``d_scalar``, ``star_d``, ``d_star`` and the
-Dolbeault operators) acts on (..., n, n) input, any leading axes being a
+(``FlatCurve.spectral``, ``d_scalar``, ``star_d``, ``d_star`` and
+``Dolbeault``) acts on (..., n, n) input, any leading axes being a
 stack such as the t-slices of a 3D configuration, with one 2D FFT over
 axes (-2, -1) per call.  Per-component data of an N-summand spinor is
 (..., N, n, n), with twists (N, 2) matched to axis -3, or a stack of
@@ -22,6 +22,12 @@ its conjugate and the Dolbeault symbol once per twist or stack of twists,
 on first use; they are returned as read-only arrays and live as long as
 the curve.  The transforms write their products and inverse FFTs into the
 arrays they have just made.
+
+The twisted Dolbeault operator dbar_beta = dbar + q(beta) and its L2
+adjoint, which the transport equation and the 3D equations both apply,
+are discretized in one place, ``Dolbeault``, built once per set of twists
+and connection deviation; ``form_q`` gives the dzbar coefficient q of a
+1-form.
 
 The multi-vortex solve uses the complex-gauge substitution Phi = e^u Phi_0
 with Phi_0 = 1 in the active summand, reducing the moment-map equation to a
@@ -42,8 +48,7 @@ import numpy as np
 from scipy.sparse.linalg import LinearOperator, cg
 
 from .braid import TorusBraid
-from .errors import (EndpointMismatch, HolonomyMismatch, NoHolomorphicSection,
-                     NonConvergence)
+from .errors import EndpointMismatch, HolonomyMismatch, NonConvergence
 from .topology import MappingClass, validate_mapping_class
 from .zlattice import IntMatrix
 
@@ -57,6 +62,10 @@ TWO_PI = 2.0 * math.pi
 # twist arrays (one twist or a stack) whose phases and symbols a curve
 # keeps; the oldest is dropped first
 TWIST_CACHE_SIZE = 64
+# Kazdan-Warner Newton: residual tolerance (raised to the round-off floor)
+# and iteration cap
+KW_TOL = 1e-12
+KW_MAX_ITER = 60
 
 
 def _read_only(arrs):
@@ -245,13 +254,16 @@ def ip_form01(curve: FlatCurve, w1: np.ndarray, w2: np.ndarray) -> float:
 
 # -- 1-form component conversions ------------------------------------------
 
+def form_q(curve: FlatCurve, ax, ay):
+    """The dzbar coefficient q of alpha = ax dx + ay dy = p dz + q dzbar;
+    the components are arrays, or numbers for a constant 1-form."""
+    return (curve.modulus * ax - ay) / (2j * curve.imu)
+
+
 def form_pq(curve: FlatCurve, ax: np.ndarray, ay: np.ndarray):
     """(alpha_x, alpha_y) -> (p, q) with alpha = p dz + q dzbar."""
-    mu = curve.modulus
-    den = 2j * curve.imu
-    q = (mu * ax - ay) / den
-    p = (ay - np.conj(mu) * ax) / den
-    return p, q
+    p = (ay - np.conj(curve.modulus) * ax) / (2j * curve.imu)
+    return p, form_q(curve, ax, ay)
 
 
 def form_xy(curve: FlatCurve, p: np.ndarray, q: np.ndarray):
@@ -280,51 +292,48 @@ def d_scalar(curve: FlatCurve, f: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Dolbeault operators on twisted sections
+# The twisted Dolbeault operator
 # ---------------------------------------------------------------------------
 
-def _check_twists(vals, twists) -> np.ndarray:
-    """One twist for (..., n, n) input, or twists (..., N, 2) matched to the
-    axes before the grid."""
-    t = np.asarray(twists, float)
-    lead = t.shape[:-1]
-    if lead and np.shape(vals)[-2 - len(lead):-2] != lead:
-        raise HolonomyMismatch("one twist vector per component is required",
-                               components=list(np.shape(vals)[:-2]),
-                               twists=len(t))
-    return t
+class Dolbeault:
+    """dbar_beta = dbar + q on twisted sections, and its L2 adjoint.
 
-
-def dolbeault_apply(curve: FlatCurve, vals, twists, qbeta=None) -> np.ndarray:
-    """dbar_{B,A} on twisted sections; returns the dzbar coefficient.
-
-    ``qbeta`` is an optional connection deviation, the dzbar coefficient of
-    the (0,1)-part of the added connection form, broadcast against ``vals``
-    (per component, or shared by the components).
+    ``twists`` is one twist for (..., n, n) sections, or twists (..., N, 2)
+    matched to the axes before the grid.  ``q`` is the dzbar coefficient of
+    the (0,1)-part of the connection deviation beta, broadcast against the
+    sections (per component, or shared by the components).  The symbols
+    lam and w conj(lam) and the terms q and w conj(q) are built once and
+    serve every product.
     """
-    t = _check_twists(vals, twists)
-    out = curve.spectral(vals, curve.lam(t), t)
-    if qbeta is not None:
-        out = out + qbeta * vals
-    return out
 
+    def __init__(self, curve: FlatCurve, twists, q=0):
+        self.curve = curve
+        self.twists = np.asarray(twists, float)
+        w = curve.form_weight
+        self.lam = curve.lam(self.twists)
+        self.lam_adj = w * np.conj(self.lam)
+        self.q = q
+        self.q_adj = w * np.conj(q)
 
-def dolbeault_adjoint(curve: FlatCurve, vals, twists, qbeta=None) -> np.ndarray:
-    """L2 adjoint of dolbeault_apply: (0,1)-forms to sections."""
-    t = _check_twists(vals, twists)
-    w = curve.form_weight
-    out = curve.spectral(vals, w * np.conj(curve.lam(t)), t)
-    if qbeta is not None:
-        out = out + w * np.conj(qbeta) * vals
-    return out
+    def _spectral(self, vals, symbol) -> np.ndarray:
+        lead = self.twists.shape[:-1]
+        if lead and np.shape(vals)[-2 - len(lead):-2] != lead:
+            raise HolonomyMismatch(
+                "one twist vector per component is required",
+                components=list(np.shape(vals)[:-2]), twists=len(self.twists))
+        return self.curve.spectral(vals, symbol, self.twists)
 
+    def apply(self, vals) -> np.ndarray:
+        """dbar_beta: sections to the dzbar coefficient of (0,1)-forms."""
+        out = self._spectral(vals, self.lam)
+        out += self.q * vals
+        return out
 
-def flat_deviation_q(curve: FlatCurve, delta_a) -> np.ndarray:
-    """dzbar coefficient of the flat connection form 2 pi i delta_a (dx,dy),
-    for one delta_a (2,) or a stack (..., 2)."""
-    da = np.asarray(delta_a, float)
-    mu = curve.modulus
-    return (2j * math.pi) * (mu * da[..., 0] - da[..., 1]) / (2j * curve.imu)
+    def adjoint(self, vals) -> np.ndarray:
+        """dbar_beta*: (0,1)-forms to sections."""
+        out = self._spectral(vals, self.lam_adj)
+        out += self.q_adj * vals
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -484,19 +493,10 @@ class VortexConfig:
         shift = np.array([np.mean(ax), np.mean(ay)]) / (2j * math.pi)
         return wrap_twist(self.zeta0 + np.real(shift))
 
-    def q_alpha(self) -> np.ndarray:
-        return form_pq(self.curve, *self.alpha)[1]
-
-    def dbar(self, vals, twists=None, extra_q=None):
-        t = self.twists if twists is None else twists
-        if twists is not None and np.max(np.abs(
-                wrap_twist(np.asarray(twists) - self.twists))) > 1e-12:
-            raise HolonomyMismatch("field twisting disagrees with context",
-                                   expected=self.twists.tolist())
-        q = self.q_alpha()
-        if extra_q is not None:
-            q = q + extra_q if np.ndim(extra_q) < 3 else extra_q + q[None]
-        return dolbeault_apply(self.curve, vals, t, qbeta=q)
+    def dbar(self, vals) -> np.ndarray:
+        """dbar_{B,A} of sections with this configuration's twists."""
+        return Dolbeault(self.curve, self.twists,
+                         form_q(self.curve, *self.alpha)).apply(vals)
 
     def phi_l2_sq(self) -> float:
         return float(sum(ip_section(self.curve, p, p) for p in self.Phi))
@@ -539,19 +539,18 @@ def _kw_laplacian_symbol(curve: FlatCurve) -> np.ndarray:
     return 2.0 * curve.form_weight * np.abs(curve.lam((0.0, 0.0))) ** 2
 
 
-def _kw_newton(curve: FlatCurve, tau_g: np.ndarray, tol: float,
-               max_iter: int = 60):
+def _kw_newton(curve: FlatCurve, tau_g: np.ndarray):
     """Solve Delta u + (1/2) e^{2u} - tau = 0; returns (u, increments)."""
     sym = _kw_laplacian_symbol(curve)
     # round-off floor of the residual: the spectral Laplacian's grows with
     # the top symbol, that of (1/2) e^{2u} - tau with tau
-    tol = max(tol, 8.0 * np.finfo(float).eps
+    tol = max(KW_TOL, 8.0 * np.finfo(float).eps
               * (float(np.max(sym)) + float(np.max(np.abs(tau_g)))))
     tau_bar = float(np.mean(tau_g))
     u = np.full((curve.n, curve.n), 0.5 * math.log(2.0 * tau_bar))
     n2 = curve.n * curve.n
     increments = []
-    for _ in range(max_iter):
+    for _ in range(KW_MAX_ITER):
         e2u = np.exp(2.0 * u)
         F = np.real(curve.spectral(u, sym)) + 0.5 * e2u - tau_g
         res = float(np.max(np.abs(F)))
@@ -577,11 +576,10 @@ def _kw_newton(curve: FlatCurve, tau_g: np.ndarray, tol: float,
         u = u + du
         increments.append(float(np.max(np.abs(du))))
     raise NonConvergence("Kazdan-Warner Newton iteration did not converge",
-                         residual=res, max_iter=max_iter)
+                         residual=res, max_iter=KW_MAX_ITER)
 
 
-def vortex_solve(curve: FlatCurve, holonomies, k: int, tau,
-                 zeta=None, tol: float = 1e-12):
+def vortex_solve(curve: FlatCurve, holonomies, k: int, tau):
     """Framed multi-vortex solution with the section in summand k.
 
     ``holonomies`` are the a_j at the current parameter time; the line
@@ -592,22 +590,12 @@ def vortex_solve(curve: FlatCurve, holonomies, k: int, tau,
     if not 0 <= k < len(hol):
         raise ValueError("active summand index out of range")
     zeta0 = wrap_twist(-hol[k])
-    if zeta is not None and toroidal_distance(zeta, zeta0) > 1e-9:
-        matches = [j for j in range(len(hol))
-                   if toroidal_distance(zeta, -hol[j]) <= 1e-9]
-        if not matches:
-            raise NoHolomorphicSection(
-                "no summand holonomy matches -zeta; the twisted bundle has "
-                "no holomorphic section", zeta=list(np.asarray(zeta, float)))
-        raise NoHolomorphicSection(
-            "zeta matches a different summand than the requested k",
-            matches=matches, k=k)
     tau_g = _tau_grid(curve, tau)
     tau_bar = float(np.mean(tau_g))
     if not (np.all(np.isfinite(tau_g)) and tau_bar > 0):
         raise ValueError("need finite tau and d - tau_bar < 0: with d = 0, "
                          "tau_bar must be positive")
-    u, increments = _kw_newton(curve, tau_g, tol)
+    u, increments = _kw_newton(curve, tau_g)
     twists = wrap_twist(hol + zeta0[None])
     Phi = np.zeros((len(hol), curve.n, curve.n), complex)
     Phi[k] = np.exp(u)
@@ -648,16 +636,13 @@ def load_field(path: str) -> Tuple[np.ndarray, dict]:
     return values, sidecar
 
 
-def save_vortex_config(prefix: str, cfg: VortexConfig, t: float,
-                       holonomies=None) -> List[str]:
+def save_vortex_config(prefix: str, cfg: VortexConfig, t: float) -> List[str]:
     """One file per spinor component plus the connection deviation form."""
     base = {
         "n": cfg.curve.n,
         "modulus": [cfg.curve.modulus.real, cfg.curve.modulus.imag],
         "area": cfg.curve.area,
-        "holonomies": (np.asarray(holonomies, float).tolist()
-                       if holonomies is not None
-                       else cfg.twists.tolist()),
+        "holonomies": cfg.twists.tolist(),
         "time": t,
     }
     written = []

@@ -413,8 +413,6 @@ def torsion_fixed_points(A: IntMatrix) -> list:
     points = set()
     stacks = [[Fraction(j, snf.invariant_factors[i]) for j in range(snf.invariant_factors[i])]
               for i in range(n)]
-    idx = [0] * n
-
     def rec(i, y):
         if i == n:
             x = snf.V.apply_frac(y)

@@ -45,12 +45,23 @@ class TestParsing:
         assert "bad --matrix" in json.loads(err)["message"]
 
     def test_usage_error_exits_one(self, capsys):
-        """Usage errors exit 1 with one JSON object on stderr."""
+        """Usage errors exit 1 with one JSON object on stderr, and so does
+        a flag that the subcommand does not read."""
         for argv in (["count", "--rank", "1", "--degree", "2"],
                      ["braid-make", "--matrix=-1,0;0,-1", "--rank", "2"],
                      ["count", "--matrix", "2,1;1,1", "--rank", "x",
                       "--degree", "2"],
-                     []):
+                     [],
+                     ["braid-make", "--matrix=-1,0;0,-1", "--rank", "2",
+                      "--targets", "t.json", "--format", "csv"],
+                     ["vortex", "--holonomies", "0.1,0.2", "--format", "csv"],
+                     ["transport", "--braid", "b.json", "--format", "json"],
+                     ["newton", "--braid", "b.json", "--format", "json"],
+                     ["check-identities", "--braid", "b.json", "--format",
+                      "json"],
+                     ["check-identities", "--braid", "b.json", "--out", "F"],
+                     ["vortex", "--holonomies", "0.1,0.2", "--tolerance",
+                      "5"]):
             code, out, err = run(capsys, argv)
             assert code == 1
             assert out == ""

@@ -140,7 +140,7 @@ class TestSeam:
         curve = FlatCurve(1j, 8)
         Xi = assemble_adiabatic(transported(curve, family, 1, 32), family, 8,
                                 k0=1)
-        _, log = newton_refine(Xi, eps=0.2, tol=1e-9)
+        _, log = newton_refine(Xi, eps=0.2)
         res = [entry["residual_0_2_eps"] for entry in log]
         assert res[0] > 1.0
         assert res[-1] < 1e-9
@@ -212,7 +212,7 @@ class TestIdentities:
 
 class TestNewton:
     def test_refine_converges_quadratically(self, Xi):
-        refined, log = newton_refine(Xi, eps=0.2, tol=1e-9)
+        refined, log = newton_refine(Xi, eps=0.2)
         res = [entry["residual_0_2_eps"] for entry in log]
         assert res[-1] < 1e-9
         # quadratic contraction on the middle iterations

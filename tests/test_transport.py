@@ -78,7 +78,7 @@ class TestSolvePsi:
             rhs[k] = scale * (rng.standard_normal(shape)
                               + 1j * rng.standard_normal(shape))
         op = PsiOperator(VortexStack.of([cfg] * 3), q_dev)
-        Psi = solve_psi(op, rhs, rtol=1e-12)
+        Psi = solve_psi(op, rhs)
         assert not Psi[0].any()
         resid = apply_psi_operator(op, Psi) - rhs
         one = PsiOperator(VortexStack.of([cfg]), q_dev)

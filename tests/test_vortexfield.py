@@ -5,10 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from adiabat.errors import HolonomyMismatch, NoHolomorphicSection
-from adiabat.vortexfield import (FlatBundleFamily, FlatCurve, d_scalar,
-                                 d_star, dolbeault_adjoint, dolbeault_apply,
-                                 integral, invariant_modulus, ip_form01,
+from adiabat.errors import HolonomyMismatch
+from adiabat.vortexfield import (Dolbeault, FlatBundleFamily, FlatCurve,
+                                 d_scalar, d_star, integral,
+                                 invariant_modulus, ip_form01,
                                  ip_section, load_field, moment_residual, save_field, smooth_family,
                                  star_d, vortex_solve, wrap_twist)
 
@@ -73,20 +73,32 @@ class TestFlatCurve:
 
 
 class TestDolbeault:
-    def test_adjointness(self):
+    @pytest.mark.parametrize("stacked", [False, True], ids=["q0", "q_stack"])
+    def test_adjointness(self, stacked):
+        """<dbar_beta s, w> = <s, dbar_beta* w>: with q = 0 on one section,
+        and with a smooth q shared by the two components of a stack of
+        three, which checks the w conj(q) term of the adjoint."""
         rng = np.random.default_rng(3)
         curve = FlatCurve(MU, 16)
+        shape = (3, 2) if stacked else ()
+
+        def field():
+            return np.array([band_limited(rng, 16)
+                             for _ in range(int(np.prod(shape)))]
+                            ).reshape(shape + (16, 16))
+
         for _ in range(5):
-            theta = rng.uniform(-0.5, 0.5, size=2)
-            s = band_limited(rng, 16)
-            w = band_limited(rng, 16)
-            lhs = ip_form01(curve, dolbeault_apply(curve, s, theta), w)
-            rhs = ip_section(curve, s, dolbeault_adjoint(curve, w, theta))
+            theta = rng.uniform(-0.5, 0.5, size=shape[1:] + (2,))
+            q = 0.5 * field()[:, :1] if stacked else 0
+            dbar = Dolbeault(curve, theta, q)
+            s, w = field(), field()
+            lhs = ip_form01(curve, dbar.apply(s), w)
+            rhs = ip_section(curve, s, dbar.adjoint(w))
             assert abs(lhs - rhs) < 1e-10
 
     def test_untwisted_kernel_is_constants(self):
         curve = FlatCurve(MU, 16)
-        out = dolbeault_apply(curve, np.ones((16, 16), complex), (0.0, 0.0))
+        out = Dolbeault(curve, (0.0, 0.0)).apply(np.ones((16, 16), complex))
         assert np.max(np.abs(out)) < 1e-12
 
     def test_twisted_operator_invertible_off_lattice(self):
@@ -139,19 +151,20 @@ class TestBatchedOperators:
         self.assert_matches(op(curve, stack, ay), self.slicewise(
             lambda ax, ay: op(curve, ax, ay), stack, ay))
 
-    @pytest.mark.parametrize("op", [dolbeault_apply, dolbeault_adjoint])
+    @pytest.mark.parametrize("op", ["apply", "adjoint"])
     def test_dolbeault(self, stack, op):
         curve = FlatCurve(MU, self.n)
         q = 0.3 * stack[:, :1] + 0.1j
-        got = op(curve, stack, self.TWISTS, qbeta=q)
-        want = [[op(curve, stack[i, j], self.TWISTS[j], qbeta=q[i, 0])
-                 for j in range(self.N)] for i in range(self.M)]
+        got = getattr(Dolbeault(curve, self.TWISTS, q), op)(stack)
+        want = [[getattr(Dolbeault(curve, self.TWISTS[j], q[i, 0]), op)(
+            stack[i, j]) for j in range(self.N)] for i in range(self.M)]
         self.assert_matches(got, want)
 
     def test_dolbeault_twist_count_checked(self, stack):
-        curve = FlatCurve(MU, self.n)
-        with pytest.raises(HolonomyMismatch):
-            dolbeault_apply(curve, stack, self.TWISTS[:1])
+        dbar = Dolbeault(FlatCurve(MU, self.n), self.TWISTS[:1])
+        for op in (dbar.apply, dbar.adjoint):
+            with pytest.raises(HolonomyMismatch):
+                op(stack)
 
     def test_cached_constants_read_only(self):
         curve = FlatCurve(MU, self.n)
@@ -224,11 +237,6 @@ class TestVortexSolve:
         for tau in (1e4, 1e6):
             cfg, _ = vortex_solve(curve, [[0.1, 0.2]], 0, tau)
             assert moment_residual(cfg, tau) < 1e-12 * tau
-
-    def test_zeta_mismatch_rejected(self):
-        curve = FlatCurve(MU, 16)
-        with pytest.raises(NoHolomorphicSection):
-            vortex_solve(curve, self.HOL, 0, 2.0, zeta=np.array([0.4, 0.4]))
 
     def test_gauge_transform_preserves_invariants(self):
         curve = FlatCurve(MU, 32)
