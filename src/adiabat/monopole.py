@@ -40,11 +40,15 @@ TWO_PI = 2.0 * math.pi
 # largest seam mismatch of a transported end state that assembly accepts
 SEAM_TOL = 1e-5
 # Newton refinement: stopping residual in the (0, 2, eps) norm and
-# iteration cap; GMRES relative tolerance and restart cycles per step
+# iteration cap; floor of the GMRES relative tolerance and restart cycles
+# per step
 NEWTON_TOL = 1e-9
 NEWTON_MAX_ITER = 12
 GMRES_TOL = 1e-8
 GMRES_MAXITER = 40
+# Eisenstat-Walker forcing terms of the GMRES solves (``forcing_term``)
+FORCING_MAX = 1e-3
+FORCING_SAFEGUARD = 1e-4
 # regularization of the mode-by-mode preconditioner's blocks
 PRECONDITIONER_DELTA = 1e-3
 
@@ -696,13 +700,34 @@ class _ModePreconditioner:
                          phi=phi_s, v=v_s, c=c_s, psi=psi_s)
 
 
+def forcing_term(res: float) -> float:
+    """GMRES relative tolerance of a Newton step at residual ``res``.
+
+    max(min(FORCING_MAX, res^2), FORCING_SAFEGUARD * NEWTON_TOL / res,
+    GMRES_TOL); the safeguard keeps the last step's contraction quadratic.
+    Newton solves only at res >= NEWTON_TOL, where this lies in
+    [GMRES_TOL, FORCING_MAX].
+    """
+    return max(min(FORCING_MAX, res * res),
+               FORCING_SAFEGUARD * NEWTON_TOL / res, GMRES_TOL)
+
+
 def newton_refine(Xi0: Config3D, eps: float) -> Tuple[Config3D, List[Dict]]:
-    """Gauge-fixed Newton iteration from the adiabatic configuration.
+    """Gauge-fixed inexact Newton iteration from the adiabatic configuration.
 
     Each step solves D_eps(Xi_k) xi = (-R1, +R2, 0, -R4, +R5) for the
     current five-row residual R, enforcing the Coulomb-type gauge row by
     construction, and updates Xi.  Stops below NEWTON_TOL in the (0,2,eps)
     norm; two consecutive residual increases abort with Divergence.
+
+    The step is inexact: preconditioned GMRES solves to the relative
+    tolerance eta_k = ``forcing_term(r_k)`` (Eisenstat-Walker) of the
+    step's residual r_k, loose far from the solution and tight near it.
+    Each log entry holds k, ``residual_0_2_eps``, ``increment_1_2_eps``,
+    ``gmres_rtol`` (eta_k) and ``gmres_products`` (operator applications
+    of the solve); the closing entry solves nothing and has 0 for the last
+    three.  A GMRES failure raises LinearSolveFailure with the iteration,
+    scipy's ``info``, ``rtol``, the packed ``rhs_norm`` and ``products``.
     """
     Xi = Xi0
     log: List[Dict] = []
@@ -717,7 +742,8 @@ def newton_refine(Xi0: Config3D, eps: float) -> Tuple[Config3D, List[Dict]]:
         res = weighted_norm(Xi, R, eps, 2, 0).value
         if res < NEWTON_TOL:
             log.append({"k": k, "residual_0_2_eps": res,
-                        "increment_1_2_eps": 0.0})
+                        "increment_1_2_eps": 0.0, "gmres_rtol": 0.0,
+                        "gmres_products": 0})
             return Xi, log
         if res >= prev:
             increases += 1
@@ -731,8 +757,13 @@ def newton_refine(Xi0: Config3D, eps: float) -> Tuple[Config3D, List[Dict]]:
         rhs = Tangent3D(a=-R.a, phi=R.phi, v=np.zeros_like(R.v), c=-R.c,
                         psi=R.psi)
         Xi_k = Xi
+        b = _pack(rhs)
+        rtol = forcing_term(res)
+        products = 0
 
         def mv(vec):
+            nonlocal products
+            products += 1
             return _pack(linearize_apply(Xi_k, _unpack(Xi_k, vec), eps))
 
         def pc(vec):
@@ -740,16 +771,19 @@ def newton_refine(Xi0: Config3D, eps: float) -> Tuple[Config3D, List[Dict]]:
 
         op = LinearOperator((size, size), matvec=mv, dtype=float)
         M = LinearOperator((size, size), matvec=pc, dtype=float)
-        sol, info = gmres(op, _pack(rhs), rtol=GMRES_TOL, atol=0.0, M=M,
+        sol, info = gmres(op, b, rtol=rtol, atol=0.0, M=M,
                           maxiter=GMRES_MAXITER, restart=60)
         if info != 0:
             raise LinearSolveFailure(
                 "GMRES did not converge (operator near-singular: eps too "
-                "large or wall proximity)", info=int(info), iteration=k)
+                "large or wall proximity)", info=int(info), iteration=k,
+                rtol=rtol, rhs_norm=float(np.linalg.norm(b)),
+                products=products)
         xi = _unpack(Xi, sol)
         inc = weighted_norm(Xi, xi, eps, 2, 1).value
         log.append({"k": k, "residual_0_2_eps": res,
-                    "increment_1_2_eps": inc})
+                    "increment_1_2_eps": inc, "gmres_rtol": rtol,
+                    "gmres_products": products})
         Xi = config_update(Xi, xi)
     res = weighted_norm(Xi, sw_map(Xi, eps), eps, 2, 0).value
     if res >= NEWTON_TOL:
@@ -889,7 +923,7 @@ def save_config3d(prefix: str, Xi: Config3D, eps: float) -> List[str]:
         "n": Xi.curve.n,
         "modulus": [Xi.curve.modulus.real, Xi.curve.modulus.imag],
         "area": Xi.curve.area,
-        "holonomies": Xi.twists.tolist(),
+        "twists": Xi.twists.tolist(),
     }
     for i in range(Xi.m):
         t = i / Xi.m

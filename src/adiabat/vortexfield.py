@@ -642,7 +642,7 @@ def save_vortex_config(prefix: str, cfg: VortexConfig, t: float) -> List[str]:
         "n": cfg.curve.n,
         "modulus": [cfg.curve.modulus.real, cfg.curve.modulus.imag],
         "area": cfg.curve.area,
-        "holonomies": cfg.twists.tolist(),
+        "twists": cfg.twists.tolist(),
         "time": t,
     }
     written = []

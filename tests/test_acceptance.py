@@ -199,9 +199,14 @@ def test_criterion_7_adiabatic_scaling():
     s1 = float(np.polyfit(le, np.log(r0s), 1)[0])
     s2 = float(np.polyfit(le, np.log(diffs), 1)[0])
     elapsed = time.perf_counter() - t0
-    ok = abs(s1 - 1.0) <= 0.2 and abs(s2 - 2.0) <= 0.3 and elapsed < 600.0
+    # the refined distance moves with where Newton stops below NEWTON_TOL;
+    # its slope may drift by at most 1e-5 from the figure of GMRES solves
+    # at a fixed relative tolerance of 1e-8
+    drift = abs(s2 - 1.944229021)
+    ok = abs(s1 - 1.0) <= 0.2 and abs(s2 - 2.0) <= 0.3 and drift < 1e-5 \
+        and elapsed < 600.0
     record(7, ok, f"residual slope {s1:.3f}, refined-distance slope "
-                  f"{s2:.3f}, {elapsed:.0f}s")
+                  f"{s2:.3f} (drift {drift:.1e}), {elapsed:.0f}s")
 
 
 def test_criterion_8_structural_identities():

@@ -6,8 +6,10 @@ import pytest
 
 import adiabat.cli
 import adiabat.transport
-from adiabat.cli import main, parse_matrix
+from adiabat.cli import main, parse_holonomies, parse_matrix
 from adiabat.errors import Divergence
+from adiabat.monopole import FORCING_MAX, GMRES_TOL
+from adiabat.vortexfield import FlatCurve, vortex_solve
 
 from tests.test_braid import even_winding_braid, odd_winding_braid
 
@@ -185,6 +187,20 @@ class TestNumericalLayer:
         assert report["moment_residual"] < 1e-10
         assert abs(report["phi_l2_sq"] - 8 * 3.14159265) < 1e-4
 
+    def test_vortex_sidecar_stores_twists(self, capsys, tmp_path):
+        hol = "0.13,-0.21;-0.32,0.05"
+        prefix = str(tmp_path / "v")
+        code, _, _ = run(capsys, ["vortex", "--holonomies", hol, "--grid",
+                                  "8", "--out", prefix])
+        assert code == 0
+        cfg, _ = vortex_solve(FlatCurve(1j, 8), parse_holonomies(hol), 0,
+                              2.0)
+        for name in ("phi0", "phi1", "alpha"):
+            sidecar = strict_json(
+                (tmp_path / f"v.{name}.f64.json").read_text())
+            assert sidecar["twists"] == cfg.twists.tolist()
+            assert "holonomies" not in sidecar
+
     def test_transport_monodromy(self, capsys, braid_file):
         code, out, _ = run(capsys, [
             "transport", "--braid", braid_file, "--tsteps", "120",
@@ -297,6 +313,19 @@ class TestNumericalLayer:
                                     "--tsteps", "20"])
         assert code == 0
         assert strict_json(out)["match"] is True
+
+    def test_newton_log_carries_gmres_counters(self, capsys, braid_file):
+        code, out, _ = run(capsys, ["newton", "--braid", braid_file,
+                                    "--grid", "8", "--slices", "8",
+                                    "--eps", "0.2"])
+        assert code == 0
+        log = strict_json(out)[0]["iterations"]
+        assert len(log) > 1
+        for entry in log[:-1]:
+            assert GMRES_TOL <= entry["gmres_rtol"] <= FORCING_MAX
+            assert entry["gmres_products"] > 0
+        assert log[-1]["gmres_rtol"] == 0.0
+        assert log[-1]["gmres_products"] == 0
 
     def test_check_identities(self, capsys, braid_file):
         code, out, _ = run(capsys, [

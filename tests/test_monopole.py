@@ -1,13 +1,17 @@
 """Three-dimensional assembly, the epsilon-deformed map, and Newton descent."""
 
+import json
+import os
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from adiabat import monopole
 from adiabat.braid import TorusBraid, braid_construct
-from adiabat.errors import PeriodicityMismatch
-from adiabat.monopole import (SeamGluing, Tangent3D, adiabatic_config,
+from adiabat.errors import LinearSolveFailure, PeriodicityMismatch
+from adiabat.monopole import (FORCING_MAX, GMRES_TOL, NEWTON_TOL, SeamGluing,
+                              Tangent3D, adiabatic_config,
                               adiabatic_residual, assemble_adiabatic,
                               build_seam, config_norm_diff,
                               config_update, dsw_apply, identity_check, ip3,
@@ -16,7 +20,7 @@ from adiabat.monopole import (SeamGluing, Tangent3D, adiabatic_config,
                               save_config3d, sw_map, weighted_norm)
 from adiabat.topology import validate_mapping_class
 from adiabat.transport import transported, vortex_seed
-from adiabat.vortexfield import (FlatBundleFamily, FlatCurve,
+from adiabat.vortexfield import (FlatBundleFamily, FlatCurve, HolonomyPath,
                                  invariant_modulus, smooth_family)
 from adiabat.zlattice import IntMatrix, cokernel
 
@@ -55,6 +59,37 @@ README_BRAID = (MINUS_ID, 2, [([0, 1], 1), ([1, 0], 1)])
 @pytest.fixture(scope="module")
 def Xi():
     return adiabatic_config(FlatCurve(MU, 12), smooth_family(), 16, 64)
+
+
+def base_point_family(a0):
+    """``smooth_family`` with its loop moved to the base point a0."""
+    mc = validate_mapping_class(1, IntMatrix.identity(2))
+    path = HolonomyPath.trigonometric(a0, [1, 0], amp=[0.15, -0.1])
+    return FlatBundleFamily(N=1, mc=mc, closing_permutation=(0,),
+                            paths=[path], tau_bar=2.0)
+
+
+@pytest.fixture(scope="module")
+def base_point_configs():
+    """The one-vortex loop at a0 = (0.1344, 0.8474), n = 8, m = 6, on which
+    a fixed GMRES tolerance of 1e-8 stalled (info 40) at Newton iteration
+    2; keyed by modulus."""
+    family = base_point_family([0.1344, 0.8474])
+    return {mu: adiabatic_config(FlatCurve(mu, 8), family, 6, 24)
+            for mu in (MU, 1j)}
+
+
+def counting_products(monkeypatch):
+    """Count ``linearize_apply`` calls, the GMRES operator products."""
+    calls = []
+    original = monopole.linearize_apply
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(monopole, "linearize_apply", counted)
+    return calls
 
 
 class TestAssembly:
@@ -222,14 +257,60 @@ class TestNewton:
         dist = config_norm_diff(refined, Xi, eps=0.2).value
         assert 0 < dist < 1.0
 
+    @pytest.mark.parametrize("mu, eps", [(MU, 0.2), (MU, 0.1), (1j, 0.1)])
+    def test_base_point_refines(self, base_point_configs, mu, eps):
+        _, log = newton_refine(base_point_configs[mu], eps)
+        assert log[-1]["residual_0_2_eps"] < NEWTON_TOL
+
+    def test_log_counts_gmres_products(self, base_point_configs,
+                                       monkeypatch):
+        calls = counting_products(monkeypatch)
+        _, log = newton_refine(base_point_configs[MU], 0.1)
+        assert sum(e["gmres_products"] for e in log) == len(calls) > 0
+        closing = log[-1]
+        assert closing["gmres_rtol"] == 0.0
+        assert closing["gmres_products"] == 0
+        for entry in log[:-1]:
+            assert GMRES_TOL <= entry["gmres_rtol"] <= FORCING_MAX
+            assert entry["gmres_products"] > 0
+        # loose far from the solution, tight near it
+        assert log[0]["gmres_rtol"] == FORCING_MAX
+        assert log[-2]["gmres_rtol"] < 1e-2 * FORCING_MAX
+
+    def test_forcing_term(self):
+        assert monopole.forcing_term(10.0) == FORCING_MAX
+        assert monopole.forcing_term(1e-2) == pytest.approx(1e-4)
+        assert monopole.forcing_term(3e-5) == GMRES_TOL
+        # near the solution the safeguard asks for eta * r = 1e-4 NEWTON_TOL
+        assert monopole.forcing_term(1e-8) == pytest.approx(1e-5)
+        for r in NEWTON_TOL * 10.0 ** np.arange(0.0, 11.0):
+            assert GMRES_TOL <= monopole.forcing_term(r) <= FORCING_MAX
+
+    def test_solve_failure_carries_solver_counters(self, base_point_configs,
+                                                   monkeypatch):
+        calls = counting_products(monkeypatch)
+        monkeypatch.setattr(monopole, "GMRES_MAXITER", 1)
+        with pytest.raises(LinearSolveFailure) as info:
+            newton_refine(base_point_configs[MU], 0.1)
+        detail = info.value.detail
+        assert detail["iteration"] == 0
+        assert detail["info"] > 0
+        assert detail["rtol"] == FORCING_MAX
+        assert detail["rhs_norm"] > 0
+        assert detail["products"] == len(calls) > 0
+        json.dumps(info.value.to_json(), allow_nan=False)
+
 
 class TestSerialization:
     def test_save_config3d(self, Xi, tmp_path):
         files = save_config3d(str(tmp_path / "xi"), Xi, eps=0.2)
         assert len(files) >= 1
-        import os
         for f in files:
             assert os.path.exists(f)
+        with open(files[0] + ".json") as fh:
+            sidecar = json.load(fh)
+        assert sidecar["twists"] == Xi.twists.tolist()
+        assert "holonomies" not in sidecar
 
 
 class TestTangent:
