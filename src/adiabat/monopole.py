@@ -13,10 +13,11 @@ unfolding, R being the order of U, computed exactly from C, the closing
 permutation and the gauge; this makes D_t exactly skew-adjoint and keeps
 the discrete Leibniz rule at spectral accuracy for band-limited fields.
 
-Scalar slots V and b are carried as iR-valued grid functions; the five
-rows of the rescaled equations and of the symmetric linearization follow
-the block layout (N, G, S*; e^-2 G*, 0, L*; e^-2 S, L, M) on
-x = (a, phi), v, y = (c, psi).
+The moment map, the Hodge star on 1-forms and the twisted Dolbeault
+operator are those of ``vortexfield``.  Scalar slots V and b are carried
+as iR-valued grid functions; the five rows of the rescaled equations and
+of the symmetric linearization follow the block layout (N, G, S*; e^-2 G*,
+0, L*; e^-2 S, L, M) on x = (a, phi), v, y = (c, psi).
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
+from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -34,11 +36,13 @@ from .errors import (Divergence, LinearSolveFailure, NonConvergence,
 from .transport import TransportTrace, VortexStack, aux_spinor, transported
 from .vortexfield import (Dolbeault, FlatBundleFamily, FlatCurve, _tau_grid,
                           d_scalar, d_star, form_pq, form_q, form_xy,
-                          save_field, star_d)
+                          hodge_star, moment_map, save_field, star_d)
 
 TWO_PI = 2.0 * math.pi
 # largest seam mismatch of a transported end state that assembly accepts
 SEAM_TOL = 1e-5
+# largest denominator read off a breakpoint time of a family's paths
+BREAK_DENOMINATOR = 1000
 # Newton refinement: stopping residual in the (0, 2, eps) norm and
 # iteration cap; floor of the GMRES relative tolerance and restart cycles
 # per step
@@ -242,12 +246,6 @@ def _q_of(Xi: Config3D, a: np.ndarray) -> np.ndarray:
     return form_q(Xi.curve, a[:, 0], a[:, 1])
 
 
-def _star1(curve: FlatCurve, axy: np.ndarray) -> np.ndarray:
-    """Hodge star on 1-forms: p dz + q dzbar -> -i p dz + i q dzbar."""
-    p, q = form_pq(curve, axy[:, 0], axy[:, 1])
-    return np.stack(form_xy(curve, -1j * p, 1j * q), axis=1)
-
-
 def _im_form01(curve: FlatCurve, eta: np.ndarray) -> np.ndarray:
     """Components of Im(eta dzbar): (Im eta, Im(eta mubar))."""
     return np.stack([np.imag(eta), np.imag(eta * np.conj(curve.modulus))],
@@ -339,7 +337,7 @@ def assemble_adiabatic(trace: TransportTrace, family: FlatBundleFamily,
     if abs(end.t - 1.0) > 1e-9:
         raise PeriodicityMismatch("trace does not reach t = 1", t=end.t)
     ref1 = -TWO_PI * (family.holonomies(1.0)[k0] - base[k0])
-    dev_end = np.stack(end.cfg.alpha) - 1j * ref1[:, None, None]
+    dev_end = end.cfg.alpha - 1j * ref1[:, None, None]
     mis_dev = np.max(np.abs(dev_end - seam.push_form(dev[0])))
     mis_phi = np.max(np.abs(end.cfg.Phi - seam.push_section(Phi[0])))
     if max(mis_dev, mis_phi) > SEAM_TOL:
@@ -354,16 +352,26 @@ def adiabatic_config(curve: FlatCurve, family: FlatBundleFamily, m: int,
     """The adiabatic 3D configuration Xi_0 of a family on m slices.
 
     The active strand k0 is the first strand fixed by the closing
-    permutation.  Its vortex seed is transported with max(steps, 4 m)
-    steps at moment tolerance ``tol`` and assembled on the slices.
+    permutation.  Its vortex seed is transported at moment tolerance
+    ``tol`` in max(steps, 4 m) steps, rounded up to a multiple of m and of
+    the breakpoints' common denominator so that every slice time i/m is a
+    step time, and assembled on the slices.
     """
+    if m < 1:
+        raise ValueError("the number of t-slices must be at least 1")
     fixed = [k for k, j in enumerate(family.closing_permutation) if j == k]
     if not fixed:
         raise PeriodicityMismatch(
             "no strand is fixed by the closing permutation",
             permutation=list(family.closing_permutation))
     k0 = fixed[0]
-    trace = transported(curve, family, k0, max(steps, 4 * m), tol)
+    unit = m
+    for b in family.breaks():
+        frac = Fraction(b).limit_denominator(BREAK_DENOMINATOR)
+        if float(frac) == b:  # b is p/q with q <= BREAK_DENOMINATOR
+            unit = math.lcm(unit, frac.denominator)
+    steps = -(-max(steps, 4 * m) // unit) * unit
+    trace = transported(curve, family, k0, steps, tol)
     return assemble_adiabatic(trace, family, m, k0=k0)
 
 
@@ -388,13 +396,12 @@ def sw_map(Xi: Config3D, eps: float) -> Tangent3D:
         + (-2j * math.pi * Xi.aref_dot)[:, :, None, None]
     one = Adot - d_scalar(curve, Xi.b) - (1j * Xi.sigma_t)[:, :, None, None]
     eta = _pair01(Xi.Psi, Xi.Phi)
-    a = _star1(curve, one) - d_scalar(curve, Xi.V) \
+    a = hodge_star(curve, one) - d_scalar(curve, Xi.V) \
         - 1j * _im_form01(curve, eta)
     phi = -1j * _grad_t_section(Xi, Xi.Phi, "section") \
         + Xi.dbar.adjoint(Xi.Psi) - Xi.V[:, None] * Xi.Phi
-    moment = star_d(curve, Xi.dev[:, 0], Xi.dev[:, 1]) \
-        - 0.5j * np.sum(np.abs(Xi.Phi) ** 2, axis=1) + 1j * Xi.tau_grid
-    c = ie2 * moment - d_t(Xi, Xi.V, "scalar") \
+    c = ie2 * moment_map(curve, Xi.dev, Xi.Phi, Xi.tau_grid) \
+        - d_t(Xi, Xi.V, "scalar") \
         + 0.5j * curve.form_weight * np.sum(np.abs(Xi.Psi) ** 2, axis=1)
     psi = 1j * _grad_t_section(Xi, Xi.Psi, "form01") \
         + ie2 * Xi.dbar.apply(Xi.Phi) - Xi.V[:, None] * Xi.Psi
@@ -408,26 +415,18 @@ def block_G(Xi: Config3D, v: np.ndarray):
 
 
 def block_Gstar(Xi: Config3D, a: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    return -d_star(Xi.curve, a[:, 0], a[:, 1]) - 1j * herm_im(Xi.Phi, phi)
-
-
-def herm_im(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    return np.imag(_pair01(A, B))
-
-
-def herm_re(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    return np.real(_pair01(A, B))
+    return -d_star(Xi.curve, a) - 1j * np.imag(_pair01(Xi.Phi, phi))
 
 
 def block_S(Xi: Config3D, a: np.ndarray, phi: np.ndarray):
-    c = star_d(Xi.curve, a[:, 0], a[:, 1]) - 1j * herm_re(Xi.Phi, phi)
+    c = star_d(Xi.curve, a) - 1j * np.real(_pair01(Xi.Phi, phi))
     psi = -_q_of(Xi, a)[:, None] * Xi.Phi - Xi.dbar.apply(phi)
     return c, psi
 
 
 def block_Sstar(Xi: Config3D, c: np.ndarray, psi: np.ndarray):
     eta = _pair01(psi, Xi.Phi)
-    a = -_star1(Xi.curve, d_scalar(Xi.curve, c)) \
+    a = -hodge_star(Xi.curve, d_scalar(Xi.curve, c)) \
         - 1j * _im_form01(Xi.curve, eta)
     phi = 1j * c[:, None] * Xi.Phi - Xi.dbar.adjoint(psi)
     return a, phi
@@ -441,11 +440,11 @@ def block_L(Xi: Config3D, v: np.ndarray):
 
 def block_Lstar(Xi: Config3D, c: np.ndarray, psi: np.ndarray) -> np.ndarray:
     return d_t(Xi, c, "scalar") \
-        - 1j * Xi.curve.form_weight * herm_im(Xi.Psi, psi)
+        - 1j * Xi.curve.form_weight * np.imag(_pair01(Xi.Psi, psi))
 
 
 def block_M(Xi: Config3D, c: np.ndarray, psi: np.ndarray):
-    oc = 1j * Xi.curve.form_weight * herm_re(Xi.Psi, psi)
+    oc = 1j * Xi.curve.form_weight * np.real(_pair01(Xi.Psi, psi))
     return oc, -1j * c[:, None] * Xi.Psi \
         - 1j * _grad_t_section(Xi, psi, "form01")
 
@@ -453,7 +452,8 @@ def block_M(Xi: Config3D, c: np.ndarray, psi: np.ndarray):
 def block_N(Xi: Config3D, a: np.ndarray, phi: np.ndarray):
     w = Xi.curve.form_weight
     eta = _pair01(Xi.Psi, phi)
-    oa = _star1(Xi.curve, d_t(Xi, a, "form")) - 1j * _im_form01(Xi.curve, eta)
+    oa = hodge_star(Xi.curve, d_t(Xi, a, "form")) \
+        - 1j * _im_form01(Xi.curve, eta)
     ophi = -w * np.conj(_q_of(Xi, a))[:, None] * Xi.Psi \
         + 1j * _grad_t_section(Xi, phi, "section")
     return oa, ophi
@@ -517,8 +517,8 @@ def ip3(Xi: Config3D, u: Tangent3D, w: Tangent3D,
     area = curve.area
 
     def pair_form(A, B):
-        p1, q1 = form_pq(curve, A[:, 0], A[:, 1])
-        p2, q2 = form_pq(curve, B[:, 0], B[:, 1])
+        p1, q1 = form_pq(curve, A)
+        p2, q2 = form_pq(curve, B)
         return fw * np.real(p1 * np.conj(p2) + q1 * np.conj(q2))
 
     x = pair_form(u.a, w.a) + np.sum(np.real(u.phi * np.conj(w.phi)), axis=1)
@@ -536,7 +536,7 @@ def _pointwise_sq(Xi: Config3D, arrs: Sequence[Tuple[np.ndarray, str]]):
     out = 0.0
     for arr, kind in arrs:
         if kind == "form":
-            p, q = form_pq(curve, arr[:, 0], arr[:, 1])
+            p, q = form_pq(curve, arr)
             out = out + fw * (np.abs(p) ** 2 + np.abs(q) ** 2)
         elif kind == "section":
             out = out + np.sum(np.abs(arr) ** 2, axis=1)
@@ -554,9 +554,6 @@ def _lp(Xi: Config3D, sq: np.ndarray, p: float) -> float:
 
 @dataclass
 class WeightedNormReport:
-    eps: float
-    p: float
-    level: int
     value: float
 
 
@@ -575,8 +572,7 @@ def weighted_norm(Xi: Config3D, xi: Tangent3D, eps: float, p: float = 2,
         y_sq = _pointwise_sq(Xi, [(xi.c, "scalar"), (xi.psi, "form01")])
         total = _lp(Xi, x_sq, p) + eps ** p * _lp(Xi, v_sq, p) \
             + eps ** p * _lp(Xi, y_sq, p)
-        return WeightedNormReport(eps=eps, p=p, level=0,
-                                  value=total ** (1.0 / p))
+        return WeightedNormReport(total ** (1.0 / p))
     if level != 1:
         raise ValueError("level must be 0 or 1")
     Gs = block_Gstar(Xi, xi.a, xi.phi)
@@ -601,8 +597,7 @@ def weighted_norm(Xi: Config3D, xi: Tangent3D, eps: float, p: float = 2,
                                             (Mpsi, "form01")])),
     ]
     total = sum(wt * _lp(Xi, sq, p) for wt, sq in terms)
-    return WeightedNormReport(eps=eps, p=p, level=1,
-                              value=total ** (1.0 / p))
+    return WeightedNormReport(total ** (1.0 / p))
 
 
 def config_norm_diff(Xi1: Config3D, Xi0: Config3D, eps: float, p: float = 2,
@@ -683,7 +678,7 @@ class _ModePreconditioner:
         tw = Xi.twists
         # unfold in t and transform all fields to mode space
         a_ext = _extend(Xi, xi.a, "form")
-        p, q = form_pq(curve, a_ext[:, 0], a_ext[:, 1])
+        p, q = form_pq(curve, a_ext)
         vec4 = np.stack([p, q, _extend(Xi, xi.v, "scalar"),
                          _extend(Xi, xi.c, "scalar")], axis=1)
         vec2 = np.stack([_extend(Xi, xi.phi, "section"),
@@ -696,7 +691,7 @@ class _ModePreconditioner:
             curve.from_modes(np.fft.ifft(sol4, axis=0)[:m]), 1, 0)
         phi_s, psi_s = np.moveaxis(
             curve.from_modes(np.fft.ifft(sol2, axis=0)[:m], tw), 1, 0)
-        return Tangent3D(a=np.stack(form_xy(curve, p_s, q_s), axis=1),
+        return Tangent3D(a=form_xy(curve, p_s, q_s),
                          phi=phi_s, v=v_s, c=c_s, psi=psi_s)
 
 
@@ -879,7 +874,7 @@ def _identity_residuals(Xi: Config3D, xi: Tangent3D, gPsi: np.ndarray,
     # identity0
     M = block_M(Xi, xi.c, xi.psi)
     id0 = float(np.max(np.abs(block_Lstar(Xi, *M)
-                              - 1j * w * herm_re(gPsi, xi.psi))))
+                              - 1j * w * np.real(_pair01(gPsi, xi.psi)))))
     # identity1: N G v + S* L v = 0
     lhs_a, lhs_phi = block_N(Xi, *block_G(Xi, xi.v))
     a, phi = block_Sstar(Xi, *block_L(Xi, xi.v))

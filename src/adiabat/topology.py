@@ -70,9 +70,6 @@ class SpinCClass:
     degree: int
     torsion_class: Tuple[int, ...]
 
-    def label(self) -> str:
-        return f"d={self.degree};c=" + ",".join(str(x) for x in self.torsion_class)
-
 
 def spinc_classes(mc: MappingClass, d: int) -> List[SpinCClass]:
     """All degree-d spin^c classes, one per coset of coker(1 - f*)."""

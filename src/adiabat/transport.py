@@ -17,10 +17,10 @@ Integration is classical RK4 in the b = 0 gauge with substeps aligned to
 the family's breakpoints; the moment-map residual is the step acceptance
 criterion.  One integrator advances a stack of K starts of one family
 together (the strands of a braid; a single start is K = 1): each RK stage
-solves the K Psi equations with one batched conjugate-gradient run, and
-only the starts whose step fails the residual test are redone in halves,
-so every start takes the steps it would take alone.  Monodromy matching
-uses the gauge-invariant holonomy.
+solves the K Psi equations with one call of the shared batched conjugate
+gradients ``vortexfield.pcg``, and only the starts whose step fails the
+residual test are redone in halves, so every start takes the steps it
+would take alone.  Monodromy matching uses the gauge-invariant holonomy.
 """
 
 from __future__ import annotations
@@ -33,10 +33,11 @@ from typing import Iterable, Iterator, List, Sequence, Tuple
 import numpy as np
 
 from .braid import TorusBraid, braid_validate
-from .errors import (AmbiguousMatch, SingularOperator, TrackingLoss)
+from .errors import (AmbiguousMatch, NonConvergence, SingularOperator,
+                     TrackingLoss)
 from .vortexfield import (TWO_PI, Dolbeault, FlatBundleFamily, FlatCurve,
                           VortexConfig, _tau_grid, form_q, moment_residuals,
-                          toroidal_distance, vortex_solve, wrap_twist)
+                          pcg, toroidal_distance, vortex_solve, wrap_twist)
 
 
 # conjugate-gradient iterations a Psi solve may take, and the residual
@@ -62,7 +63,7 @@ class VortexStack:
     @staticmethod
     def of(cfgs: Sequence[VortexConfig]) -> "VortexStack":
         return VortexStack(cfgs[0].curve,
-                           np.stack([np.stack(c.alpha) for c in cfgs]),
+                           np.stack([c.alpha for c in cfgs]),
                            np.stack([c.Phi for c in cfgs]),
                            np.stack([c.twists for c in cfgs]))
 
@@ -106,49 +107,17 @@ def apply_psi_operator(op: PsiOperator, Psi: np.ndarray) -> np.ndarray:
     return out
 
 
-def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """<a, b> of each system of a (K, N, n, n) stack, a conjugated."""
-    return np.vecdot(a.reshape(len(a), -1), b.reshape(len(b), -1))
-
-
 def solve_psi(op: PsiOperator, rhs: np.ndarray) -> np.ndarray:
-    """Solve the Psi equation of every system of the stack by preconditioned
-    conjugate gradients.
-
-    The operator is Hermitian positive definite at regular parameters (Phi
-    not identically zero).  Each system has its own step lengths and stops
-    once its residual norm is below ``PSI_RTOL`` times that of its right-hand
-    side, the rule of scipy's ``cg``; a zero right-hand side gives zero.
-    """
-    x = np.zeros_like(rhs)
-    r = rhs.copy()
-    bound = PSI_RTOL * np.sqrt(_dot(rhs, rhs).real)
-    p = rho_prev = None
-    for _ in range(PSI_MAXITER):
-        res = np.sqrt(_dot(r, r).real)
-        if not np.all(np.isfinite(res)):
-            raise SingularOperator(
-                "auxiliary spinor solve broke down (wall or irregular "
-                "parameter)", residuals=res.tolist())
-        active = (res >= bound) & (bound > 0)
-        if not active.any():
-            return x
-        z = op.precondition(r)
-        rho = _dot(r, z)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            if p is None:
-                p = z
-            else:
-                beta = np.where(active, rho / rho_prev, 0.0)
-                p = z + beta[:, None, None, None] * p
-            q = apply_psi_operator(op, p)
-            step = np.where(active, rho / _dot(p, q), 0.0)
-        x += step[:, None, None, None] * p
-        r -= step[:, None, None, None] * q
-        rho_prev = rho
-    raise SingularOperator(
-        "auxiliary spinor solve stalled (wall or irregular parameter)",
-        maxiter=PSI_MAXITER, residuals=res.tolist())
+    """Solve the Psi equation of every system of the stack by ``pcg`` to
+    the relative residual ``PSI_RTOL``.  The operator is Hermitian positive
+    definite at regular parameters (Phi not identically zero); a solve that
+    breaks down or stalls raises SingularOperator."""
+    try:
+        return pcg(lambda p: apply_psi_operator(op, p), op.precondition, rhs,
+                   PSI_RTOL, PSI_MAXITER)
+    except NonConvergence as exc:
+        raise SingularOperator(f"auxiliary spinor {exc} (wall or irregular "
+                               "parameter)", **exc.detail) from exc
 
 
 def _coefficients(curve: FlatCurve, family: FlatBundleFamily, t: float):
@@ -289,8 +258,7 @@ def _check_steps(steps: int) -> None:
 
 def _states(starts: Sequence[VortexConfig], t: float, stack: VortexStack,
             res: np.ndarray) -> List[TransportState]:
-    return [TransportState(t, replace(s, alpha=(stack.alpha[k, 0],
-                                                stack.alpha[k, 1]),
+    return [TransportState(t, replace(s, alpha=stack.alpha[k],
                                       Phi=stack.Phi[k]), float(res[k]))
             for k, s in enumerate(starts)]
 

@@ -7,32 +7,36 @@ line bundle with holonomy theta in (R/Z)^2 are sampled on the uniform grid;
 the samples include the twist phase exp(2 pi i (theta_1 x + theta_2 y)), so
 spectral operators strip the phase, act diagonally on Fourier modes, and
 restore it.  A (0,1)-form is stored through its dz-bar coefficient q, a
-1-form through real components (alpha_x, alpha_y); the pointwise metric
-weight of dz-bar is Im(mu)/pi when area = 2 pi.
+1-form as one (..., 2, n, n) array of its components (alpha_x, alpha_y);
+the pointwise metric weight of dz-bar is Im(mu)/pi when area = 2 pi.
 
 Arrays.  The grid is always the last two axes.  Every spectral operator
 (``FlatCurve.spectral``, ``d_scalar``, ``star_d``, ``d_star`` and
-``Dolbeault``) acts on (..., n, n) input, any leading axes being a
-stack such as the t-slices of a 3D configuration, with one 2D FFT over
-axes (-2, -1) per call.  Per-component data of an N-summand spinor is
-(..., N, n, n), with twists (N, 2) matched to axis -3, or a stack of
-twists (..., N, 2) matched to the axes before the grid.  Each curve builds
-its constants (grid, modes, derivative symbols) once, and the twist phase,
-its conjugate and the Dolbeault symbol once per twist or stack of twists,
-on first use; they are returned as read-only arrays and live as long as
-the curve.  The transforms write their products and inverse FFTs into the
+``Dolbeault``) acts on (..., n, n) input, or (..., 2, n, n) 1-forms, any
+leading axes being a stack such as the t-slices of a 3D configuration,
+with one 2D FFT over axes (-2, -1) per call.  Per-component data of an
+N-summand spinor is (..., N, n, n), with twists (N, 2) matched to axis
+-3, or a stack of twists (..., N, 2) matched to the axes before the grid.
+Each curve builds its constants (grid, modes, derivative symbols) once,
+and the twist phase, its conjugate and the Dolbeault symbol once per
+twist or stack of twists, on first use, from one formula broadcast over
+the stack; they are returned as read-only arrays and live as long as the
+curve.  The transforms write their products and inverse FFTs into the
 arrays they have just made.
 
 The twisted Dolbeault operator dbar_beta = dbar + q(beta) and its L2
 adjoint, which the transport equation and the 3D equations both apply,
 are discretized in one place, ``Dolbeault``, built once per set of twists
 and connection deviation; ``form_q`` gives the dzbar coefficient q of a
-1-form.
+1-form.  So are the moment map ``moment_map``, the Hodge star
+``hodge_star`` and ``pcg``, the batched conjugate gradients of the
+Kazdan-Warner steps and of the auxiliary spinor equation of transport.
 
 The multi-vortex solve uses the complex-gauge substitution Phi = e^u Phi_0
 with Phi_0 = 1 in the active summand, reducing the moment-map equation to a
 scalar Kazdan-Warner-type equation Delta u + (1/2) e^{2u} - tau = 0 with
-Delta positive semidefinite, solved by Newton iteration in Fourier space.
+Delta positive semidefinite, solved by Newton iteration whose linear
+steps are ``pcg`` solves preconditioned in Fourier space.
 """
 
 from __future__ import annotations
@@ -45,7 +49,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, cg
 
 from .braid import TorusBraid
 from .errors import EndpointMismatch, HolonomyMismatch, NonConvergence
@@ -63,9 +66,12 @@ TWO_PI = 2.0 * math.pi
 # keeps; the oldest is dropped first
 TWIST_CACHE_SIZE = 64
 # Kazdan-Warner Newton: residual tolerance (raised to the round-off floor)
-# and iteration cap
+# and iteration cap; residual reduction and iteration cap of each step's
+# conjugate-gradient solve
 KW_TOL = 1e-12
 KW_MAX_ITER = 60
+KW_CG_RTOL = 1e-13
+KW_CG_MAXITER = 500
 
 
 def _read_only(arrs):
@@ -142,18 +148,12 @@ class FlatCurve:
         key = (t.shape, t.tobytes())
         hit = self._twists.get(key)
         if hit is None:
-            if t.ndim == 1:
-                X, Y = self.grid()
-                M, K = self.modes()
-                phase = np.exp(2j * math.pi * (t[0] * X + t[1] * Y))
-                lam = (math.pi / self.imu) * (self.modulus * (M + t[0])
-                                              - (K + t[1]))
-                hit = (phase, lam, np.conj(phase))
-            else:
-                rows = [self._twisted(row) for row in t.reshape(-1, 2)]
-                shape = t.shape[:-1] + (self.n, self.n)
-                hit = tuple(np.stack(slot).reshape(shape)
-                            for slot in zip(*rows))
+            X, Y = self.grid()
+            M, K = self.modes()
+            tx, ty = t[..., 0, None, None], t[..., 1, None, None]
+            phase = np.exp(2j * math.pi * (tx * X + ty * Y))
+            lam = (math.pi / self.imu) * (self.modulus * (M + tx) - (K + ty))
+            hit = (phase, lam, np.conj(phase))
             if len(self._twists) >= TWIST_CACHE_SIZE:
                 del self._twists[next(iter(self._twists))]
             hit = self._twists[key] = _read_only(hit)
@@ -260,29 +260,33 @@ def form_q(curve: FlatCurve, ax, ay):
     return (curve.modulus * ax - ay) / (2j * curve.imu)
 
 
-def form_pq(curve: FlatCurve, ax: np.ndarray, ay: np.ndarray):
-    """(alpha_x, alpha_y) -> (p, q) with alpha = p dz + q dzbar."""
+def form_pq(curve: FlatCurve, a: np.ndarray):
+    """(p, q) with alpha = p dz + q dzbar, of a 1-form (..., 2, n, n)."""
+    ax, ay = a[..., 0, :, :], a[..., 1, :, :]
     p = (ay - np.conj(curve.modulus) * ax) / (2j * curve.imu)
     return p, form_q(curve, ax, ay)
 
 
-def form_xy(curve: FlatCurve, p: np.ndarray, q: np.ndarray):
+def form_xy(curve: FlatCurve, p: np.ndarray, q: np.ndarray) -> np.ndarray:
     mu = curve.modulus
-    return p + q, p * mu + q * np.conj(mu)
+    return np.stack([p + q, p * mu + q * np.conj(mu)], axis=-3)
 
 
-def star_d(curve: FlatCurve, ax: np.ndarray, ay: np.ndarray) -> np.ndarray:
-    """Hodge star of d(alpha) for a 1-form: (dx ay - dy ax) / area."""
-    d = curve.spectral(np.stack([ay, ax], axis=-3), curve.grad_symbol())
+def hodge_star(curve: FlatCurve, a: np.ndarray) -> np.ndarray:
+    """Hodge star on 1-forms: p dz + q dzbar -> -i p dz + i q dzbar."""
+    p, q = form_pq(curve, a)
+    return form_xy(curve, -1j * p, 1j * q)
+
+
+def star_d(curve: FlatCurve, a: np.ndarray) -> np.ndarray:
+    """Hodge star of d(alpha) for 1-forms: (dx ay - dy ax) / area."""
+    d = curve.spectral(a[..., ::-1, :, :], curve.grad_symbol())
     return (d[..., 0, :, :] - d[..., 1, :, :]) / curve.area
 
 
-def d_star(curve: FlatCurve, ax: np.ndarray, ay: np.ndarray) -> np.ndarray:
+def d_star(curve: FlatCurve, a: np.ndarray) -> np.ndarray:
     """Codifferential d* alpha = -star d star alpha for 1-forms."""
-    p, q = form_pq(curve, ax, ay)
-    # star alpha = -i p dz + i q dzbar
-    sx, sy = form_xy(curve, -1j * p, 1j * q)
-    return -star_d(curve, sx, sy)
+    return -star_d(curve, hodge_star(curve, a))
 
 
 def d_scalar(curve: FlatCurve, f: np.ndarray) -> np.ndarray:
@@ -478,7 +482,7 @@ class VortexConfig:
 
     curve: FlatCurve
     zeta0: np.ndarray                 # (2,) flat holonomy at assembly time
-    alpha: Tuple[np.ndarray, np.ndarray]  # iR-valued components (ax, ay)
+    alpha: np.ndarray                 # (2, n, n) iR-valued (alpha_x, alpha_y)
     Phi: np.ndarray                   # (N, n, n) complex
     twists: np.ndarray                # (N, 2) frozen component twists
     k: int                            # active summand
@@ -489,8 +493,7 @@ class VortexConfig:
 
     def holonomy(self) -> np.ndarray:
         """Gauge-invariant holonomy of A: zeta0 shifted by alpha's mean."""
-        ax, ay = self.alpha
-        shift = np.array([np.mean(ax), np.mean(ay)]) / (2j * math.pi)
+        shift = np.mean(self.alpha, axis=(-2, -1)) / (2j * math.pi)
         return wrap_twist(self.zeta0 + np.real(shift))
 
     def dbar(self, vals) -> np.ndarray:
@@ -504,10 +507,8 @@ class VortexConfig:
     def apply_gauge(self, chi: np.ndarray) -> "VortexConfig":
         """Unitary gauge transform by e^{i chi} for real periodic chi."""
         phase = np.exp(1j * chi)
-        dx, dy = d_scalar(self.curve, chi)
-        ax, ay = self.alpha
         return replace(self, Phi=self.Phi * phase[None],
-                       alpha=(ax + 1j * dx, ay + 1j * dy))
+                       alpha=self.alpha + 1j * d_scalar(self.curve, chi))
 
 
 def _tau_grid(curve: FlatCurve, tau) -> np.ndarray:
@@ -518,20 +519,71 @@ def _tau_grid(curve: FlatCurve, tau) -> np.ndarray:
                            (curve.n, curve.n)).copy()
 
 
+def moment_map(curve: FlatCurve, alpha: np.ndarray, Phi: np.ndarray,
+               tau_grid: np.ndarray) -> np.ndarray:
+    """star F_A - (i/2)|Phi|^2 + i tau on the grid, for each configuration
+    of a stack: alpha (..., 2, n, n), Phi (..., N, n, n)."""
+    return star_d(curve, alpha) - 0.5j * np.sum(np.abs(Phi) ** 2, axis=-3) \
+        + 1j * tau_grid
+
+
 def moment_residuals(curve: FlatCurve, alpha: np.ndarray, Phi: np.ndarray,
                      tau_grid: np.ndarray) -> np.ndarray:
-    """sup |star F_A - (i/2)|Phi|^2 + i tau| over the grid, for each
-    configuration of a stack: alpha (..., 2, n, n), Phi (..., N, n, n)."""
-    dens = np.sum(np.abs(Phi) ** 2, axis=-3)
-    val = star_d(curve, alpha[..., 0, :, :], alpha[..., 1, :, :]) \
-        - 0.5j * dens + 1j * tau_grid
-    return np.max(np.abs(val), axis=(-2, -1))
+    """sup of |moment_map| over the grid, for each configuration."""
+    return np.max(np.abs(moment_map(curve, alpha, Phi, tau_grid)),
+                  axis=(-2, -1))
 
 
 def moment_residual(cfg: VortexConfig, tau) -> float:
     """sup |star F_A - (i/2)|Phi|^2 + i tau| over the grid."""
-    return float(moment_residuals(cfg.curve, np.stack(cfg.alpha), cfg.Phi,
+    return float(moment_residuals(cfg.curve, cfg.alpha, cfg.Phi,
                                   _tau_grid(cfg.curve, tau)))
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """<a, b> of each system of a stack (axis 0), a conjugated; contiguous
+    operands make a product independent of the strides of its views."""
+    return np.vecdot(np.ascontiguousarray(a).reshape(len(a), -1),
+                     np.ascontiguousarray(b).reshape(len(b), -1))
+
+
+def pcg(apply: Callable, precondition: Callable, rhs: np.ndarray,
+        rtol: float, maxiter: int) -> np.ndarray:
+    """Preconditioned conjugate gradients on a stack of Hermitian positive
+    definite systems, one per index of axis 0 of ``rhs`` (any trailing
+    shape); ``apply`` and ``precondition`` act on the whole stack.  Each
+    system has its own step lengths and stops once its residual norm is
+    below ``rtol`` times that of its right-hand side (scipy's ``cg`` rule);
+    a zero right-hand side gives zero.  A breakdown (non-finite residual) or
+    ``maxiter`` iterations without convergence raise NonConvergence."""
+    x = np.zeros_like(rhs)
+    r = rhs.copy()
+    bound = rtol * np.sqrt(_dot(rhs, rhs).real)
+    per_system = (-1,) + (1,) * (rhs.ndim - 1)
+    p = rho_prev = None
+    for _ in range(maxiter):
+        res = np.sqrt(_dot(r, r).real)
+        if not np.all(np.isfinite(res)):
+            raise NonConvergence("conjugate-gradient solve broke down",
+                                 residuals=res.tolist())
+        active = (res >= bound) & (bound > 0)
+        if not active.any():
+            return x
+        z = precondition(r)
+        rho = _dot(r, z)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if p is None:
+                p = z
+            else:
+                beta = np.where(active, rho / rho_prev, 0.0)
+                p = z + beta.reshape(per_system) * p
+            q = apply(p)
+            step = np.where(active, rho / _dot(p, q), 0.0).reshape(per_system)
+        x += step * p
+        r -= step * q
+        rho_prev = rho
+    raise NonConvergence("conjugate-gradient solve stalled", maxiter=maxiter,
+                         residuals=res.tolist())
 
 
 def _kw_laplacian_symbol(curve: FlatCurve) -> np.ndarray:
@@ -548,7 +600,6 @@ def _kw_newton(curve: FlatCurve, tau_g: np.ndarray):
               * (float(np.max(sym)) + float(np.max(np.abs(tau_g)))))
     tau_bar = float(np.mean(tau_g))
     u = np.full((curve.n, curve.n), 0.5 * math.log(2.0 * tau_bar))
-    n2 = curve.n * curve.n
     increments = []
     for _ in range(KW_MAX_ITER):
         e2u = np.exp(2.0 * u)
@@ -556,23 +607,11 @@ def _kw_newton(curve: FlatCurve, tau_g: np.ndarray):
         res = float(np.max(np.abs(F)))
         if res < tol:
             return u, increments
-        shift = float(np.mean(e2u))
-
-        def apply_J(x):
-            xg = x.reshape(curve.n, curve.n)
-            return (np.real(curve.spectral(xg, sym)) + e2u * xg).ravel()
-
-        def apply_M(x):
-            xg = x.reshape(curve.n, curve.n)
-            return np.real(curve.spectral(xg, 1.0 / (sym + shift))).ravel()
-
-        op = LinearOperator((n2, n2), matvec=apply_J)
-        pre = LinearOperator((n2, n2), matvec=apply_M)
-        du, info = cg(op, -F.ravel(), rtol=1e-13, atol=0.0, M=pre,
-                      maxiter=500)
-        if info != 0:
-            raise NonConvergence("inner CG solve failed", info=info)
-        du = du.reshape(curve.n, curve.n)
+        inv = 1.0 / (sym + float(np.mean(e2u)))
+        # Jacobian Delta + e^{2u}, preconditioned by (Delta + mean e^{2u})^-1
+        du = pcg(lambda x: np.real(curve.spectral(x, sym)) + e2u * x,
+                 lambda x: np.real(curve.spectral(x, inv)), -F[None],
+                 KW_CG_RTOL, KW_CG_MAXITER)[0]
         u = u + du
         increments.append(float(np.max(np.abs(du))))
     raise NonConvergence("Kazdan-Warner Newton iteration did not converge",
@@ -651,7 +690,7 @@ def save_vortex_config(prefix: str, cfg: VortexConfig, t: float) -> List[str]:
         save_field(p, cfg.Phi[j], {**base, "component": f"phi{j}"})
         written.append(p)
     p = f"{prefix}.alpha.f64"
-    save_field(p, np.stack(cfg.alpha), {**base, "component": "alpha"})
+    save_field(p, cfg.alpha, {**base, "component": "alpha"})
     written.append(p)
     return written
 

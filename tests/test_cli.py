@@ -292,6 +292,38 @@ class TestNumericalLayer:
         assert report["identity0"] < 1e-6
         assert report["identity1"] < 1e-6
 
+    @pytest.mark.parametrize("matrix, targets, command, slices", [
+        ("-1,0;0,-1", [([0, 1], 1), ([1, 0], 1)], "newton", 6),
+        ("-1,0;0,-1", [([0, 1], 2)], "check-identities", 5),
+        ("0,-1;1,0", [([0, 0], 2)], "newton", 7),
+    ])
+    def test_slice_count_not_dividing_the_steps(self, capsys, tmp_path,
+                                                matrix, targets, command,
+                                                slices):
+        """The transport step count is rounded up to a multiple of the
+        slice count and of the breakpoints' denominator, so slice times
+        i/m off the default 128-step grid are sampled (the README braid,
+        the -1 braid whose moving strand breaks at t = 1/2, and an order-4
+        braid)."""
+        path = tmp_path / "targets.json"
+        path.write_text(json.dumps([{"class": c, "count": k}
+                                    for c, k in targets]))
+        b = str(tmp_path / "b.json")
+        assert main(["braid-make", f"--matrix={matrix}", "--rank", "2",
+                     "--targets", str(path), "--out", b]) == 0
+        argv = [command, "--braid", b, "--grid", "8", "--slices", str(slices)]
+        if command == "newton":
+            argv += ["--eps", "0.2"]
+        code, out, err = run(capsys, argv)
+        assert code == 0, err
+        if command == "newton":
+            log = strict_json(out)[0]["iterations"]
+            assert log[-1]["residual_0_2_eps"] < 1e-9
+        else:
+            report = strict_json(out)
+            assert report["identity0"] < 1e-6
+            assert report["identity1"] < 1e-6
+
     def test_hyperbolic_braid_has_no_invariant_structure(self, capsys,
                                                          tmp_path):
         targets = tmp_path / "targets.json"

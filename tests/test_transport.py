@@ -9,7 +9,7 @@ from scipy.sparse.linalg import LinearOperator, cg
 
 import adiabat.transport
 from adiabat.braid import braid_construct, braid_permutation, braid_validate
-from adiabat.errors import AmbiguousMatch
+from adiabat.errors import AmbiguousMatch, SingularOperator
 from adiabat.topology import validate_mapping_class
 from adiabat.transport import (PsiOperator, VortexStack, apply_psi_operator,
                                match_strands, numeric_monodromy, solve_psi,
@@ -61,6 +61,16 @@ class TestSolvePsi:
         Psi = solve_psi(op, rhs[None])
         resid = apply_psi_operator(op, Psi)[0] - rhs
         assert float(np.max(np.abs(resid))) < 1e-9 * float(np.max(np.abs(rhs)))
+
+    def test_stalled_solve_raises_singular_operator(self, monkeypatch):
+        curve = FlatCurve(MU, 16)
+        cfg, _ = vortex_solve(curve, [[0.13, -0.21], [-0.32, 0.05]], 0, 2.0)
+        op = PsiOperator(VortexStack.of([cfg]), [0.02 + 0.01j, 0.03j])
+        rhs = np.random.default_rng(1).standard_normal((1, 2, 16, 16)) + 0j
+        monkeypatch.setattr(adiabat.transport, "PSI_MAXITER", 1)
+        with pytest.raises(SingularOperator) as info:
+            solve_psi(op, rhs)
+        assert info.value.detail["maxiter"] == 1
 
     def test_batched_systems_stop_on_their_own_residuals(self):
         """A zero, a 1e-8-scale and an O(1) right-hand side in one stack:

@@ -4,13 +4,19 @@ import math
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import LinearOperator, cg
 
-from adiabat.errors import HolonomyMismatch
-from adiabat.vortexfield import (Dolbeault, FlatBundleFamily, FlatCurve,
-                                 d_scalar, d_star, integral,
+import adiabat.vortexfield
+from adiabat.errors import HolonomyMismatch, NonConvergence
+from adiabat.vortexfield import (KW_CG_MAXITER, KW_CG_RTOL, Dolbeault,
+                                 FlatBundleFamily, FlatCurve,
+                                 _kw_laplacian_symbol, d_scalar, d_star,
+                                 hodge_star, integral,
                                  invariant_modulus, ip_form01,
-                                 ip_section, load_field, moment_residual, save_field, smooth_family,
-                                 star_d, vortex_solve, wrap_twist)
+                                 ip_section, load_field, moment_residual,
+                                 pcg, save_field, save_vortex_config,
+                                 smooth_family, star_d, vortex_solve,
+                                 wrap_twist)
 
 MU = 0.2 + 1.0j
 
@@ -144,12 +150,12 @@ class TestBatchedOperators:
         self.assert_matches(d_scalar(curve, stack), self.slicewise(
             lambda f: d_scalar(curve, f), stack))
 
-    @pytest.mark.parametrize("op", [star_d, d_star])
+    @pytest.mark.parametrize("op", [star_d, d_star, hodge_star])
     def test_one_form_operators(self, stack, op):
         curve = FlatCurve(MU, self.n)
-        ay = stack[::-1].copy()
-        self.assert_matches(op(curve, stack, ay), self.slicewise(
-            lambda ax, ay: op(curve, ax, ay), stack, ay))
+        forms = np.stack([stack, stack[::-1]], axis=-3)
+        self.assert_matches(op(curve, forms), self.slicewise(
+            lambda a: op(curve, a), forms))
 
     @pytest.mark.parametrize("op", ["apply", "adjoint"])
     def test_dolbeault(self, stack, op):
@@ -177,6 +183,18 @@ class TestBatchedOperators:
         # built once per curve and once per twist
         assert curve.grid()[0] is curve.grid()[0]
         assert curve.lam((0.23, 0.11)) is curve.lam(np.array([0.23, 0.11]))
+
+    def test_twist_stack_is_one_build(self):
+        """A (3, 2, 2) stack of twists is built in one cache entry, and its
+        phase, symbol and conjugate phase equal those of each twist alone
+        bit for bit."""
+        curve = FlatCurve(MU, self.n)
+        twists = np.random.default_rng(3).uniform(-0.5, 0.5, (3, 2, 2))
+        stacked = curve._twisted(twists)
+        assert len(curve._twists) == 1
+        for idx in np.ndindex(3, 2):
+            for got, want in zip(stacked, curve._twisted(twists[idx])):
+                assert np.array_equal(got[idx], want)
 
 
 class TestVortexSolve:
@@ -238,6 +256,42 @@ class TestVortexSolve:
             cfg, _ = vortex_solve(curve, [[0.1, 0.2]], 0, tau)
             assert moment_residual(cfg, tau) < 1e-12 * tau
 
+    def test_inner_cg_failure_raises_non_convergence(self, monkeypatch):
+        monkeypatch.setattr(adiabat.vortexfield, "KW_CG_MAXITER", 1)
+        with pytest.raises(NonConvergence) as info:
+            vortex_solve(FlatCurve(MU, 16), self.HOL, 0,
+                         lambda X, Y: 2.0 + 0.6 * np.cos(2 * np.pi * X))
+        assert info.value.detail["maxiter"] == 1
+
+    def test_shared_cg_matches_scipy_on_a_kw_system(self):
+        """The shared PCG on one Kazdan-Warner Jacobian system, as a stack
+        of one, agrees with scipy's cg to 1e-12."""
+        curve = FlatCurve(MU, 16)
+        X, Y = curve.grid()
+        sym = _kw_laplacian_symbol(curve)
+        e2u = 4.0 + np.cos(2 * np.pi * X) * np.sin(2 * np.pi * Y)
+        inv = 1.0 / (sym + float(np.mean(e2u)))
+        rhs = np.sin(2 * np.pi * (X + 2 * Y)) + 0.5 * np.cos(2 * np.pi * X)
+
+        def apply(x):
+            return np.real(curve.spectral(x, sym)) + e2u * x
+
+        def precondition(x):
+            return np.real(curve.spectral(x, inv))
+
+        got = pcg(apply, precondition, rhs[None], KW_CG_RTOL,
+                  KW_CG_MAXITER)[0]
+        size = rhs.size
+
+        def op(fn):
+            return LinearOperator((size, size), dtype=float, matvec=lambda v:
+                                  fn(v.reshape(rhs.shape)).ravel())
+
+        ref, info = cg(op(apply), rhs.ravel(), rtol=KW_CG_RTOL, atol=0.0,
+                       M=op(precondition), maxiter=KW_CG_MAXITER)
+        assert info == 0
+        assert np.max(np.abs(got.ravel() - ref)) <= 1e-12 * np.max(np.abs(ref))
+
     def test_gauge_transform_preserves_invariants(self):
         curve = FlatCurve(MU, 32)
         cfg, _ = vortex_solve(curve, self.HOL, 0, 2.0)
@@ -276,3 +330,16 @@ class TestSerialization:
         got, meta = load_field(path)
         assert np.array_equal(got, vals)
         assert meta["note"] == "test" and meta["k"] == 3
+
+    def test_vortex_config_roundtrip(self, tmp_path):
+        cfg, _ = vortex_solve(FlatCurve(MU, 8), [[0.13, -0.21], [-0.32, 0.05]],
+                              0, 2.0)
+        assert cfg.alpha.shape == (2, 8, 8)
+        prefix = str(tmp_path / "v")
+        save_vortex_config(prefix, cfg, 0.0)
+        alpha, meta = load_field(prefix + ".alpha.f64")
+        assert np.array_equal(alpha, cfg.alpha)
+        assert meta["component"] == "alpha"
+        for j in range(cfg.N):
+            assert np.array_equal(load_field(f"{prefix}.phi{j}.f64")[0],
+                                  cfg.Phi[j])
