@@ -13,7 +13,7 @@ from adiabat.braid import braid_census, braid_construct, braid_validate
 from adiabat.topology import validate_mapping_class
 from adiabat.transport import numeric_monodromy
 from adiabat.vortexfield import FlatBundleFamily, FlatCurve
-from adiabat.zlattice import IntMatrix, cokernel
+from adiabat.zlattice import IntMatrix
 
 
 def main():
@@ -25,8 +25,7 @@ def main():
     args = ap.parse_args()
 
     mc = validate_mapping_class(1, IntMatrix.from_rows([[-1, 0], [0, -1]]))
-    grp = cokernel(mc.one_minus_fstar)
-    elems = [grp.normalize(list(w)) for w in grp.elements()]
+    elems = mc.classes.elements()
     rng = random.Random(args.seed)
     curve = FlatCurve(0.2 + 1.0j, args.grid)
 

@@ -20,7 +20,7 @@ from typing import Dict, List, Sequence, Tuple
 from .errors import (DiagonalCollision, EndpointMismatch, NonIsolatedFixedSet,
                      TargetsExceedRank, UnrealizableClass)
 from .topology import MappingClass, jacobian_fixed_points, validate_mapping_class
-from .zlattice import IntMatrix, cokernel
+from .zlattice import IntMatrix, int_tuple
 
 Breakpoint = Tuple[Fraction, Fraction, Fraction]  # (t, x, y)
 Strand = Tuple[Breakpoint, ...]
@@ -28,6 +28,16 @@ Strand = Tuple[Breakpoint, ...]
 
 def _is_integral(v: Sequence[Fraction]) -> bool:
     return all(c.denominator == 1 for c in v)
+
+
+def _breakpoint(bp) -> Breakpoint:
+    """A [t, x, y] breakpoint, each an integer or a string such as "1/3"."""
+    if not isinstance(bp, list) or len(bp) != 3:
+        raise ValueError(f"a breakpoint is a list [t, x, y], got {bp!r}")
+    try:
+        return tuple(map(Fraction, bp))
+    except (TypeError, ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise ValueError(f"bad breakpoint {bp!r}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -38,11 +48,15 @@ class TorusBraid:
     mc: MappingClass
 
     def __post_init__(self):
+        if not isinstance(self.N, int) or self.N < 1:
+            raise ValueError(f"a braid needs N >= 1 strands, got {self.N!r}")
         if self.N != len(self.strands):
             raise ValueError("strand count mismatch")
         if sorted(self.closing_permutation) != list(range(self.N)):
             raise ValueError("closing_permutation is not a permutation")
         for s in self.strands:
+            if len(s) < 2:
+                raise ValueError("each strand needs at least two breakpoints")
             ts = [bp[0] for bp in s]
             if ts[0] != 0 or ts[-1] != 1 or any(a >= b for a, b in zip(ts, ts[1:])):
                 raise ValueError("strand times must strictly increase from 0 to 1")
@@ -79,13 +93,19 @@ class TorusBraid:
     @staticmethod
     def from_json(text: str) -> "TorusBraid":
         data = json.loads(text)
+        if not isinstance(data, dict):
+            raise ValueError("a braid file holds one JSON object")
         mc = validate_mapping_class(1, IntMatrix.from_rows(data["fstar"]))
-        strands = tuple(
-            tuple((Fraction(t), Fraction(x), Fraction(y)) for (t, x, y) in s)
-            for s in data["strands"])
-        return TorusBraid(N=data["N"], strands=strands,
-                          closing_permutation=tuple(data["closing_permutation"]),
-                          mc=mc)
+        strands = data["strands"]
+        if not isinstance(strands, list) or not all(
+                isinstance(s, list) for s in strands):
+            raise ValueError('"strands" must be a list of breakpoint lists')
+        return TorusBraid(
+            N=data["N"],
+            strands=tuple(tuple(map(_breakpoint, s)) for s in strands),
+            closing_permutation=int_tuple(data["closing_permutation"],
+                                          "closing_permutation"),
+            mc=mc)
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +152,7 @@ def braid_validate(b: TorusBraid) -> TorusBraid:
     """
     f = b.mc.fstar
     for k in range(b.N):
-        tail = f.apply_frac(list(b.end(k)) )
+        tail = f.apply(b.end(k))
         head = b.start(b.closing_permutation[k])
         diff = tuple(h - t for h, t in zip(head, tail))
         if not _is_integral(diff):
@@ -194,11 +214,10 @@ def strand_class(b: TorusBraid, k: int) -> Tuple[int, ...]:
     if b.closing_permutation[k] != k:
         raise ValueError(f"strand {k} is not fixed by the closing permutation")
     head = b.start(k)
-    tail = b.mc.fstar.apply_frac(list(b.end(k)))
+    tail = b.mc.fstar.apply(b.end(k))
     diff = [h - t for h, t in zip(head, tail)]
     assert _is_integral(diff)
-    grp = cokernel(b.mc.one_minus_fstar)
-    return grp.normalize([int(d) for d in diff])
+    return b.mc.classes.normalize([int(d) for d in diff])
 
 
 def braid_census(b: TorusBraid) -> BraidCensus:
@@ -243,11 +262,11 @@ def braid_construct(mc: MappingClass, targets: Dict[Tuple[int, ...], int],
     fixed points when at least two are needed.  A single padding strand is
     allowed but may add one extra fixed point; the census is authoritative.
     """
-    if mc.one_minus_fstar.det() == 0:
+    grp = mc.classes
+    if not grp.is_finite:
         raise NonIsolatedFixedSet(
             "det(1 - f*) = 0: classes are not realized by closed strands",
             fstar=mc.fstar.to_lists())
-    grp = cokernel(mc.one_minus_fstar)
     total = sum(targets.values())
     if total > N:
         raise TargetsExceedRank(f"targets sum to {total} > N = {N}",
@@ -259,7 +278,7 @@ def braid_construct(mc: MappingClass, targets: Dict[Tuple[int, ...], int],
         if len(c) != 2 * mc.genus:
             raise UnrealizableClass("class vector has wrong length",
                                     target=list(c))
-        cc = grp.normalize(list(c))
+        cc = grp.normalize(c)
         norm_targets[cc] = norm_targets.get(cc, 0) + cnt
 
     class_to_point = {lab: pt for pt, lab in jacobian_fixed_points(mc)}
@@ -282,7 +301,7 @@ def braid_construct(mc: MappingClass, targets: Dict[Tuple[int, ...], int],
                     # constant strand (and other copies) off the lattice.
                     d = next(offsets)
                     m = next(offsets)
-                    fd = f.apply_frac(list(d))
+                    fd = f.apply(d)
                     strands.append((
                         (Fraction(0), x[0] + fd[0], x[1] + fd[1]),
                         (Fraction(1, 2), x[0] + d[0] + m[0], x[1] + d[1] + m[1]),
@@ -297,7 +316,7 @@ def braid_construct(mc: MappingClass, targets: Dict[Tuple[int, ...], int],
             first = len(strands)
             for i in range(p):
                 v_prev = anchors[(i - 1) % p]
-                fv = f.apply_frac(list(v_prev))
+                fv = f.apply(v_prev)
                 # generic midpoint detour: a straight chord from f(v) to v
                 # can pass through a lattice translate of another strand
                 # (for f = -identity it always crosses the origin)

@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from .errors import AdiabatError
-from .zlattice import IntMatrix, cokernel
+from .zlattice import IntMatrix, int_tuple
 from .topology import (count_large_d, jacobian_fixed_points, spinc_classes,
                        validate_mapping_class)
 from .braid import (TorusBraid, braid_census, braid_construct,
@@ -88,6 +88,25 @@ def _csv_rows(header, rows) -> str:
     w.writerow(header)
     w.writerows(rows)
     return buf.getvalue()
+
+
+def _read_targets(path: str) -> dict:
+    """Target counts per class from a JSON list of {"class": [..], "count": k}
+    objects; counts of a repeated class add up."""
+    with open(path) as fh:
+        raw = json.load(fh)
+    if not isinstance(raw, list) or not all(isinstance(t, dict) for t in raw):
+        raise ValueError('targets must be a JSON list of {"class": [..], '
+                         '"count": k} objects')
+    targets = {}
+    for item in raw:
+        c = int_tuple(item.get("class"), "a target class")
+        n = item.get("count")
+        if isinstance(n, bool) or not isinstance(n, int) or n < 0:
+            raise ValueError("a target count must be a non-negative integer, "
+                             f"got {n!r}")
+        targets[c] = targets.get(c, 0) + n
+    return targets
 
 
 def _load_braid(path: str) -> TorusBraid:
@@ -161,13 +180,7 @@ def cmd_braid_census(args) -> int:
 
 def cmd_braid_make(args) -> int:
     mc = validate_mapping_class(args.genus, parse_matrix(args.matrix))
-    with open(args.targets) as fh:
-        raw = json.load(fh)
-    targets = {tuple(int(x) for x in item["class"]): int(item["count"])
-               for item in raw}
-    grp = cokernel(mc.one_minus_fstar)
-    targets = {grp.normalize(list(c)): n for c, n in targets.items()}
-    braid = braid_construct(mc, targets, args.rank)
+    braid = braid_construct(mc, _read_targets(args.targets), args.rank)
     _emit(braid.to_json(), args.out)
     return 0
 
@@ -281,7 +294,7 @@ def _add_family_flags(p, tsteps):
 
 
 # counts and tolerances: zero or a negative value is an input error
-POSITIVE_FLAGS = ("tsteps", "slices", "samples", "tolerance")
+POSITIVE_FLAGS = ("rank", "tsteps", "slices", "samples", "tolerance")
 
 
 class _Parser(argparse.ArgumentParser):

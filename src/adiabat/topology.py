@@ -14,7 +14,8 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Sequence, Tuple
 
 from .errors import DegreeTooSmall, InfiniteFamily, NonIsolatedFixedSet, NotSymplectic
@@ -42,6 +43,11 @@ class MappingClass:
     @property
     def one_minus_fstar(self) -> IntMatrix:
         return IntMatrix.identity(2 * self.genus) - self.fstar
+
+    @cached_property
+    def classes(self) -> FinAbGroup:
+        """coker(1 - f*), built once: its cosets label the torsion classes."""
+        return cokernel(self.one_minus_fstar)
 
 
 def validate_mapping_class(g: int, matrix: IntMatrix) -> MappingClass:
@@ -73,13 +79,12 @@ class SpinCClass:
 
 def spinc_classes(mc: MappingClass, d: int) -> List[SpinCClass]:
     """All degree-d spin^c classes, one per coset of coker(1 - f*)."""
-    grp = cokernel(mc.one_minus_fstar)
+    grp = mc.classes
     if not grp.is_finite:
         raise InfiniteFamily(
             "coker(1 - f*) has positive free rank; classes form an infinite family",
             free_rank=grp.free_rank, torsion_factors=list(grp.torsion_factors))
-    return [SpinCClass(degree=d, torsion_class=grp.normalize(w))
-            for w in grp.elements()]
+    return [SpinCClass(degree=d, torsion_class=w) for w in grp.elements()]
 
 
 def jacobian_fixed_points(mc: MappingClass) -> List[Tuple[TorusPoint, Tuple[int, ...]]]:
@@ -89,17 +94,16 @@ def jacobian_fixed_points(mc: MappingClass) -> List[Tuple[TorusPoint, Tuple[int,
     canonical coset of the integer vector (1-f*) x, and x -> label is a
     bijection onto coker(1 - f*).
     """
-    A = mc.one_minus_fstar
-    if A.det() == 0:
+    grp = mc.classes
+    if not grp.is_finite:
         raise NonIsolatedFixedSet("det(1 - f*) = 0: fixed set not isolated",
                                   fstar=mc.fstar.to_lists())
-    grp = cokernel(A)
+    A = mc.one_minus_fstar
     out = []
     for x in torsion_fixed_points(A):
-        w = A.apply_frac(x.coordinates)
-        wi = [int(c) for c in w]
+        w = A.apply(x.coordinates)
         assert all(c.denominator == 1 for c in w)
-        out.append((x, grp.normalize(wi)))
+        out.append((x, grp.normalize([int(c) for c in w])))
     labels = [lab for _, lab in out]
     assert len(set(labels)) == len(labels), "fixed-point labels must be distinct"
     return out

@@ -8,9 +8,11 @@ fractions); no floats appear anywhere in this module.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from .errors import NonIsolatedFixedSet
 
@@ -18,6 +20,15 @@ from .errors import NonIsolatedFixedSet
 # ---------------------------------------------------------------------------
 # IntMatrix
 # ---------------------------------------------------------------------------
+
+def int_tuple(v, what: str) -> Tuple[int, ...]:
+    """The list of integers v as a tuple; a float, bool or string entry, or
+    a v that is not a list, raises ValueError naming ``what``."""
+    if not isinstance(v, (list, tuple)) or any(
+            isinstance(x, bool) or not isinstance(x, int) for x in v):
+        raise ValueError(f"{what} must be a list of integers, got {v!r}")
+    return tuple(v)
+
 
 @dataclass(frozen=True)
 class IntMatrix:
@@ -36,11 +47,14 @@ class IntMatrix:
 
     @staticmethod
     def from_rows(rows: Sequence[Sequence[int]]) -> "IntMatrix":
-        r = len(rows)
+        if not isinstance(rows, (list, tuple)) or not rows:
+            raise ValueError("matrix rows must be a non-empty list, "
+                             f"got {rows!r}")
+        rows = [int_tuple(row, "a matrix row") for row in rows]
         c = len(rows[0])
         if any(len(row) != c for row in rows):
             raise ValueError("ragged rows")
-        return IntMatrix(r, c, tuple(int(x) for row in rows for x in row))
+        return IntMatrix(len(rows), c, tuple(x for row in rows for x in row))
 
     @staticmethod
     def identity(n: int) -> "IntMatrix":
@@ -86,17 +100,12 @@ class IntMatrix:
     def scale(self, k: int) -> "IntMatrix":
         return IntMatrix(self.rows, self.cols, tuple(k * e for e in self.entries))
 
-    def apply_int(self, v: Sequence[int]) -> Tuple[int, ...]:
+    def apply(self, v: Sequence) -> tuple:
+        """Exact product A v for a vector of ints or Fractions."""
         if len(v) != self.cols:
             raise ValueError("vector length mismatch")
-        return tuple(sum(self.row(i)[k] * v[k] for k in range(self.cols))
+        return tuple(sum(a * x for a, x in zip(self.row(i), v))
                      for i in range(self.rows))
-
-    def apply_frac(self, v: Sequence[Fraction]) -> Tuple[Fraction, ...]:
-        if len(v) != self.cols:
-            raise ValueError("vector length mismatch")
-        return tuple(sum((Fraction(self.row(i)[k]) * v[k] for k in range(self.cols)),
-                         Fraction(0)) for i in range(self.rows))
 
     def det(self) -> int:
         """Exact determinant by fraction-free (Bareiss) elimination."""
@@ -120,26 +129,6 @@ class IntMatrix:
             prev = m[k][k]
         return sign * m[n - 1][n - 1]
 
-    def inverse_frac(self) -> list:
-        """Exact inverse as a list of Fraction rows; raises on singular."""
-        if self.rows != self.cols:
-            raise ValueError("inverse of non-square matrix")
-        n = self.rows
-        a = [[Fraction(self[i, j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-             for i in range(n)]
-        for col in range(n):
-            piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-            if piv is None:
-                raise ZeroDivisionError("singular matrix")
-            a[col], a[piv] = a[piv], a[col]
-            inv = Fraction(1) / a[col][col]
-            a[col] = [x * inv for x in a[col]]
-            for r in range(n):
-                if r != col and a[r][col] != 0:
-                    f = a[r][col]
-                    a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-        return [row[n:] for row in a]
-
 
 # ---------------------------------------------------------------------------
 # Smith normal form
@@ -147,9 +136,11 @@ class IntMatrix:
 
 @dataclass(frozen=True)
 class SmithDecomposition:
-    """U A V = D with U, V unimodular and D diagonal with divisibility chain."""
+    """U A V = D with U, V unimodular and D diagonal with divisibility chain;
+    Uinv is the inverse of U."""
 
     U: IntMatrix
+    Uinv: IntMatrix
     V: IntMatrix
     D: IntMatrix
     invariant_factors: Tuple[int, ...]
@@ -175,16 +166,21 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
     """Exact Smith normal form with tracked unimodular transforms.
 
     Deterministic for fixed input: pivoting always selects the smallest
-    nonzero absolute value, lowest row then column on ties.
+    nonzero absolute value, lowest row then column on ties.  U^{-1} is
+    built alongside U from the inverse of each row operation, applied as
+    the matching column operation on the right.
     """
     r, c = A.rows, A.cols
     m = [list(A.row(i)) for i in range(r)]
     u = [[int(i == j) for j in range(r)] for i in range(r)]
+    uinv = [[int(i == j) for j in range(r)] for i in range(r)]
     v = [[int(i == j) for j in range(c)] for i in range(c)]
 
-    def row_op(i, j, q):  # row_i -= q * row_j
+    def row_op(i, j, q):  # row_i -= q * row_j; on U^{-1}, col_j += q * col_i
         m[i] = [a - q * b for a, b in zip(m[i], m[j])]
         u[i] = [a - q * b for a, b in zip(u[i], u[j])]
+        for row in uinv:
+            row[j] += q * row[i]
 
     def col_op(i, j, q):  # col_i -= q * col_j
         for row in m:
@@ -196,6 +192,8 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
         if i != j:
             m[i], m[j] = m[j], m[i]
             u[i], u[j] = u[j], u[i]
+            for row in uinv:
+                row[i], row[j] = row[j], row[i]
 
     def swap_cols(i, j):
         if i != j:
@@ -207,6 +205,8 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
     def negate_row(i):
         m[i] = [-a for a in m[i]]
         u[i] = [-a for a in u[i]]
+        for row in uinv:
+            row[i] = -row[i]
 
     k = 0
     n = min(r, c)
@@ -275,11 +275,10 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
         if m[i][i] < 0:
             negate_row(i)
 
-    U = IntMatrix.from_rows(u)
-    V = IntMatrix.from_rows(v)
-    D = IntMatrix.from_rows(m)
-    factors = tuple(m[i][i] for i in range(n))
-    return SmithDecomposition(U=U, V=V, D=D, invariant_factors=factors)
+    return SmithDecomposition(
+        U=IntMatrix.from_rows(u), Uinv=IntMatrix.from_rows(uinv),
+        V=IntMatrix.from_rows(v), D=IntMatrix.from_rows(m),
+        invariant_factors=tuple(m[i][i] for i in range(n)))
 
 
 # ---------------------------------------------------------------------------
@@ -288,17 +287,23 @@ def smith_normal_form(A: IntMatrix) -> SmithDecomposition:
 
 @dataclass(frozen=True)
 class FinAbGroup:
-    """Presentation of Z^n / im(A) from a Smith decomposition of A.
+    """Presentation of Z^n / im(A) from a Smith decomposition of a square A.
 
-    ``torsion_factors`` are the invariant factors > 1; ``free_rank`` counts
-    zero invariant factors.  ``normalize`` maps an integer vector to the
-    canonical representative of its coset.
+    The coset of w has digits (U w)_i mod d_i; ``normalize`` maps w to the
+    canonical representative U^{-1} digits(w) of its coset.
     """
 
-    torsion_factors: Tuple[int, ...]
-    free_rank: int
     snf: SmithDecomposition
-    ambient: int
+
+    @property
+    def torsion_factors(self) -> Tuple[int, ...]:
+        """The invariant factors > 1."""
+        return tuple(f for f in self.snf.invariant_factors if f > 1)
+
+    @property
+    def free_rank(self) -> int:
+        """The number of zero invariant factors."""
+        return self.snf.invariant_factors.count(0)
 
     @property
     def is_finite(self) -> bool:
@@ -308,68 +313,37 @@ class FinAbGroup:
     def order(self) -> int:
         if not self.is_finite:
             raise ValueError("infinite group has no order")
-        out = 1
-        for f in self.torsion_factors:
-            out *= f
-        return out
+        return math.prod(self.torsion_factors)
 
     def digits(self, w: Sequence[int]) -> Tuple[int, ...]:
         """Coordinates of the coset of w: (U w)_i reduced mod d_i."""
-        if len(w) != self.ambient:
-            raise ValueError("vector length mismatch")
-        uw = self.snf.U.apply_int(list(w))
-        out = []
-        for i, x in enumerate(uw):
-            d = self.snf.invariant_factors[i] if i < len(self.snf.invariant_factors) else 0
-            out.append(x % d if d > 0 else x)
-        return tuple(out)
+        return tuple(x % d if d else x for x, d in
+                     zip(self.snf.U.apply(w), self.snf.invariant_factors))
 
     def normalize(self, w: Sequence[int]) -> Tuple[int, ...]:
         """Canonical integer representative of the coset of w.
 
         Idempotent: normalize(normalize(w)) == normalize(w).
         """
-        dig = self.digits(w)
-        uinv = self.snf.U.inverse_frac()
-        out = []
-        for i in range(self.ambient):
-            s = sum(uinv[i][j] * dig[j] for j in range(self.ambient))
-            if s.denominator != 1:
-                raise ArithmeticError("U inverse not integral")  # pragma: no cover
-            out.append(int(s))
-        return tuple(out)
+        return self.snf.Uinv.apply(self.digits(w))
 
     def same_coset(self, w1: Sequence[int], w2: Sequence[int]) -> bool:
         return self.digits(w1) == self.digits(w2)
 
     def elements(self) -> list:
-        """All cosets as canonical representatives (finite groups only)."""
+        """All cosets as canonical representatives, in digit order (finite
+        groups only)."""
         if not self.is_finite:
             raise ValueError("cannot enumerate an infinite group")
-        reps = [()]
-        for i in range(self.ambient):
-            d = self.snf.invariant_factors[i] if i < len(self.snf.invariant_factors) else 1
-            d = d if d > 0 else 1
-            reps = [r + (k,) for r in reps for k in range(d)]
-        uinv = self.snf.U.inverse_frac()
-        out = []
-        for dig in reps:
-            vec = []
-            for i in range(self.ambient):
-                s = sum(uinv[i][j] * dig[j] for j in range(self.ambient))
-                vec.append(int(s))
-            out.append(tuple(vec))
-        return sorted(out, key=lambda v: self.digits(v))
+        return [self.snf.Uinv.apply(dig) for dig in
+                itertools.product(*map(range, self.snf.invariant_factors))]
 
 
 def cokernel(A: IntMatrix) -> FinAbGroup:
     """Cokernel Z^n / im(A) of a square integer matrix."""
     if A.rows != A.cols:
         raise ValueError("cokernel expects a square matrix")
-    snf = smith_normal_form(A)
-    factors = tuple(f for f in snf.invariant_factors if f > 1)
-    free = sum(1 for f in snf.invariant_factors if f == 0)
-    return FinAbGroup(torsion_factors=factors, free_rank=free, snf=snf, ambient=A.rows)
+    return FinAbGroup(smith_normal_form(A))
 
 
 # ---------------------------------------------------------------------------
@@ -404,24 +378,13 @@ def torsion_fixed_points(A: IntMatrix) -> list:
     """
     if A.rows != A.cols:
         raise ValueError("torsion_fixed_points expects a square matrix")
-    d = A.det()
-    if d == 0:
+    snf = smith_normal_form(A)
+    factors = snf.invariant_factors
+    if 0 in factors:
         raise NonIsolatedFixedSet(
             "fixed set is positive-dimensional (det = 0)", det=0)
-    snf = smith_normal_form(A)
-    n = A.rows
-    points = set()
-    stacks = [[Fraction(j, snf.invariant_factors[i]) for j in range(snf.invariant_factors[i])]
-              for i in range(n)]
-    def rec(i, y):
-        if i == n:
-            x = snf.V.apply_frac(y)
-            points.add(TorusPoint(tuple(c % 1 for c in x)))
-            return
-        for val in stacks[i]:
-            rec(i + 1, y + [val])
-
-    rec(0, [])
-    out = sorted(points, key=lambda p: p.coordinates)
-    assert len(out) == abs(d)
-    return out
+    points = {TorusPoint(snf.V.apply([Fraction(j, d)
+                                      for j, d in zip(y, factors)]))
+              for y in itertools.product(*map(range, factors))}
+    assert len(points) == math.prod(factors)
+    return sorted(points)

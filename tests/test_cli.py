@@ -6,6 +6,7 @@ import pytest
 
 import adiabat.cli
 import adiabat.transport
+import adiabat.zlattice
 from adiabat.cli import main, parse_holonomies, parse_matrix
 from adiabat.errors import Divergence
 from adiabat.monopole import FORCING_MAX, GMRES_TOL
@@ -175,6 +176,113 @@ class TestBraidLayer:
                                     "--rank", "2", "--targets", str(targets)])
         assert code == 1
         assert json.loads(err)["error"] == "targets_exceed_rank"
+
+
+    @pytest.mark.parametrize("targets", [
+        [{"class": [0, 1], "count": 1}, {"class": [0, 1], "count": 1}],
+        [{"class": [0, 1], "count": 1}, {"class": [2, 1], "count": 1}],
+    ])
+    def test_targets_in_one_class_add_up(self, capsys, tmp_path, targets):
+        """A repeated class, or two classes equal mod im(1 - f*), asks for
+        the sum of their counts."""
+        path = tmp_path / "targets.json"
+        path.write_text(json.dumps(targets))
+        made = tmp_path / "made.json"
+        code, _, _ = run(capsys, ["braid-make", "--matrix=-1,0;0,-1",
+                                  "--rank", "2", "--targets", str(path),
+                                  "--out", str(made)])
+        assert code == 0
+        code, out, _ = run(capsys, ["braid-census", "--braid", str(made)])
+        assert code == 0
+        assert json.loads(out)["per_class_counts"] == [
+            {"class": [0, 1], "count": 2}]
+
+    def test_exact_layer_builds_each_smith_form_once(self, capsys, tmp_path,
+                                                     monkeypatch):
+        """coker(1 - f*) is built once per mapping class: braid-make needs
+        it and the torsion points, braid-census needs only it."""
+        calls = []
+        snf = adiabat.zlattice.smith_normal_form
+        monkeypatch.setattr(adiabat.zlattice, "smith_normal_form",
+                            lambda A: calls.append(A) or snf(A))
+        targets = tmp_path / "targets.json"
+        targets.write_text(json.dumps([{"class": [0, 1], "count": 1},
+                                       {"class": [1, 0], "count": 1}]))
+        made = tmp_path / "made.json"
+        assert run(capsys, ["braid-make", "--matrix=-1,0;0,-1", "--rank", "3",
+                            "--targets", str(targets), "--out",
+                            str(made)])[0] == 0
+        assert len(calls) <= 2
+        calls.clear()
+        assert run(capsys, ["braid-census", "--braid", str(made)])[0] == 0
+        assert len(calls) <= 1
+
+
+def _braid_text(**fields):
+    """The even-winding braid file with some top-level fields replaced."""
+    data = json.loads(even_winding_braid().to_json())
+    data.update(fields)
+    return json.dumps(data)
+
+
+_S1 = [["0", "3/4", "0"], ["1/2", "1/2", "-1/4"], ["1", "1/4", "0"]]
+
+
+class TestMalformedExactInput:
+    """Malformed braid and target files exit 1 with one strict-JSON error
+    object on stderr, not a traceback, and are never accepted silently."""
+
+    def check(self, capsys, argv, error):
+        code, out, err = run(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert strict_json(err)["error"] == error
+
+    @pytest.mark.parametrize("text", [
+        pytest.param(_braid_text(strands=5), id="strands 5"),
+        pytest.param("[" + _braid_text() + "]", id="top-level list"),
+        pytest.param(_braid_text(strands=[
+            [["0", "1/4", "0"], ["1/2", "1/0", "1/4"], ["1", "3/4", "0"]],
+            _S1]), id="breakpoint 1/0"),
+        pytest.param(_braid_text(strands=[
+            [["0", "1/4", "0"], ["1/2", "1/2"], ["1", "3/4", "0"]], _S1]),
+            id="two-item breakpoint"),
+        pytest.param(_braid_text(strands=[[], _S1]), id="empty strand"),
+        pytest.param(_braid_text(strands=[[["0", "1/4", "0"]], _S1]),
+                     id="one-breakpoint strand"),
+        pytest.param(_braid_text(fstar=[[-1.5, 0], [0, -1]]), id="float f*"),
+        pytest.param(_braid_text(closing_permutation=[0.0, 1.0]),
+                     id="float permutation"),
+        pytest.param(_braid_text(N=0, closing_permutation=[], strands=[]),
+                     id="N 0"),
+    ])
+    def test_braid_file(self, capsys, tmp_path, text):
+        path = tmp_path / "b.json"
+        path.write_text(text)
+        self.check(capsys, ["braid-census", "--braid", str(path)],
+                   "ValueError")
+
+    @pytest.mark.parametrize("targets, rank, error", [
+        pytest.param({"class": [0, 1], "count": 1}, "2", "ValueError",
+                     id="object"),
+        pytest.param([[0, 1]], "2", "ValueError", id="list of non-objects"),
+        pytest.param([{"class": [0, 1], "count": 1.5}], "2", "ValueError",
+                     id="count 1.5"),
+        pytest.param([{"class": [0.0, 1.0], "count": 1}], "2", "ValueError",
+                     id="float class"),
+        pytest.param([{"class": [0, 1], "count": 2},
+                      {"class": [0, 1], "count": -1}], "2", "ValueError",
+                     id="negative count"),
+        pytest.param([], "0", "ValueError", id="rank 0"),
+        pytest.param([], "-1", "ValueError", id="rank -1"),
+        pytest.param([{"class": [0, 1, 0], "count": 1}], "2",
+                     "unrealizable_class", id="class of wrong length"),
+    ])
+    def test_targets_and_rank(self, capsys, tmp_path, targets, rank, error):
+        path = tmp_path / "targets.json"
+        path.write_text(json.dumps(targets))
+        self.check(capsys, ["braid-make", "--matrix=-1,0;0,-1", "--rank",
+                            rank, "--targets", str(path)], error)
 
 
 class TestNumericalLayer:

@@ -100,6 +100,41 @@ class TestFixedPointBijection:
             done += 1
 
 
+class TestClassLabels:
+    """The printed torsion labels depend on the U of the Smith decomposition,
+    not only on the group; these pin them so that a change to the pivot
+    rule or the clearing loops cannot relabel classes unnoticed."""
+
+    VECTORS = ([1, 0], [0, 1], [3, -2], [-5, 7])
+
+    @pytest.mark.parametrize("rows, elements, normalized", [
+        ([[-1, 0], [0, -1]], [(0, 0), (0, 1), (1, 0), (1, 1)],
+         [(1, 0), (0, 1), (1, 0), (1, 1)]),
+        ([[0, -1], [1, 0]], [(0, 0), (0, 1)],
+         [(0, 1), (0, 1), (0, 1), (0, 0)]),
+        ([[0, -1], [1, 1]], [(0, 0)], [(0, 0)] * 4),
+        ([[1, -1], [1, 0]], [(0, 0)], [(0, 0)] * 4),
+        ([[2, 1], [1, 1]], [(0, 0)], [(0, 0)] * 4),
+    ])
+    def test_genus1_labels(self, rows, elements, normalized):
+        grp = validate_mapping_class(1, IntMatrix.from_rows(rows)).classes
+        assert grp.elements() == elements
+        assert [grp.normalize(v) for v in self.VECTORS] == normalized
+
+    def test_genus2_labels(self):
+        mc = validate_mapping_class(2, IntMatrix.from_rows(
+            [[0, 0, 1, 0], [0, 0, 0, 1], [-1, 0, -1, 0], [0, -1, 0, 0]]))
+        grp = mc.classes
+        assert grp.elements() == [(0, 0, -k, -k) for k in range(6)]
+        assert [grp.normalize(v) for v in
+                ([1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1],
+                 [2, -3, 5, 7])] == [(0, 0, -4, -4), (0, 0, -3, -3),
+                                     (0, 0, -2, -2), (0, 0, -3, -3),
+                                     (0, 0, 0, 0)]
+        assert [s.torsion_class for s in spinc_classes(mc, 3)] \
+            == grp.elements()
+
+
 class TestCountTable:
     def expected(self, det, N, d, g):
         sign = (det > 0) - (det < 0)

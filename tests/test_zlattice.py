@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from adiabat.zlattice import (FinAbGroup, IntMatrix, cokernel,
@@ -35,19 +35,6 @@ class TestIntMatrix:
             A = random_int_matrix(rng, n)
             assert A.det() == brute_det(A.to_lists())
 
-    def test_inverse_frac(self):
-        rng = random.Random(5)
-        for _ in range(40):
-            n = rng.randint(1, 4)
-            A = random_int_matrix(rng, n)
-            if A.det() == 0:
-                continue
-            inv = A.inverse_frac()
-            for i in range(n):
-                for j in range(n):
-                    s = sum(Fraction(A[i, k]) * inv[k][j] for k in range(n))
-                    assert s == (1 if i == j else 0)
-
     def test_matmul_identity(self):
         A = IntMatrix.from_rows([[2, 1], [1, 1]])
         assert (A @ IntMatrix.identity(2)).entries == A.entries
@@ -57,9 +44,10 @@ class TestSmithNormalForm:
     def check(self, A):
         snf = smith_normal_form(A)
         n = A.rows
-        # U A V = D, U and V unimodular
+        # U A V = D, U and V unimodular, Uinv the exact inverse of U
         assert abs(snf.U.det()) == 1
         assert abs(snf.V.det()) == 1
+        assert (snf.U @ snf.Uinv).entries == IntMatrix.identity(n).entries
         D = snf.U @ A @ snf.V
         assert D.entries == snf.D.entries
         diag = [snf.D[i, i] for i in range(n)]
@@ -120,13 +108,27 @@ class TestCokernel:
             assert grp.normalize(list(lab)) == lab
             assert grp.same_coset(w, list(lab))
 
+    @given(st.integers(1, 3).flatmap(lambda n: st.lists(
+        st.lists(st.integers(-5, 5), min_size=n, max_size=n),
+        min_size=n, max_size=n)))
+    @settings(max_examples=120, deadline=None)
+    def test_elements_in_digit_order_and_fixed(self, rows):
+        A = IntMatrix.from_rows(rows)
+        assume(A.det() != 0)
+        grp = cokernel(A)
+        elems = grp.elements()
+        digits = [grp.digits(e) for e in elems]
+        assert len(elems) == grp.order
+        assert digits == sorted(set(digits))
+        assert [grp.normalize(e) for e in elems] == elems
+
     def test_image_vectors_are_trivial(self):
         rng = random.Random(13)
         for _ in range(40):
             A = random_int_matrix(rng, 3, bound=3)
             grp = cokernel(A)
             v = [rng.randint(-3, 3) for _ in range(3)]
-            img = A.apply_int(v)
+            img = A.apply(v)
             assert grp.normalize(list(img)) == grp.normalize([0, 0, 0])
 
 
@@ -138,7 +140,7 @@ class TestTorsionFixedPoints:
         for p in range(d):
             for q in range(d):
                 x = (Fraction(p, d), Fraction(q, d))
-                w = A.apply_frac(x)
+                w = A.apply(x)
                 if all(c.denominator == 1 for c in w):
                     out.add(x)
         return out
