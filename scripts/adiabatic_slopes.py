@@ -8,10 +8,12 @@ are the expected scaling laws.
 
 import argparse
 import json
+import sys
 import time
 
 import numpy as np
 
+from adiabat.cli import parse_floats, report_errors
 from adiabat.monopole import (adiabatic_config, config_norm_diff,
                               newton_refine, sw_map, weighted_norm)
 from adiabat.vortexfield import FlatCurve, smooth_family
@@ -24,10 +26,13 @@ def main():
     ap.add_argument("--tsteps", type=int, default=256)
     ap.add_argument("--eps", default="0.2,0.1,0.05")
     args = ap.parse_args()
+    eps_list = parse_floats(args.eps)
+    if len(set(eps_list)) < 2:
+        raise ValueError("--eps needs at least two distinct values to fit "
+                         "a slope")
 
     Xi0 = adiabatic_config(FlatCurve(0.2 + 1.0j, args.grid), smooth_family(),
                            args.slices, args.tsteps)
-    eps_list = [float(x) for x in args.eps.split(",")]
     r0s, diffs = [], []
     for eps in eps_list:
         t0 = time.time()
@@ -48,4 +53,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(report_errors(main))

@@ -6,7 +6,9 @@ induced Jacobian map.
 """
 
 import argparse
+import sys
 
+from adiabat.cli import report_errors
 from adiabat.topology import (count_large_d, jacobian_fixed_points,
                               validate_mapping_class)
 from adiabat.zlattice import IntMatrix
@@ -45,4 +47,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(report_errors(main))

@@ -9,10 +9,12 @@ drop rapidly as n increases.
 
 import argparse
 import json
+import sys
 import time
 
 import numpy as np
 
+from adiabat.cli import report_errors
 from adiabat.monopole import adiabatic_config, identity_check
 from adiabat.vortexfield import FlatCurve, smooth_family
 
@@ -44,4 +46,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(report_errors(main))

@@ -7,9 +7,11 @@ against the braid's closing permutation.
 
 import argparse
 import random
+import sys
 import time
 
 from adiabat.braid import braid_census, braid_construct, braid_validate
+from adiabat.cli import report_errors
 from adiabat.topology import validate_mapping_class
 from adiabat.transport import numeric_monodromy
 from adiabat.vortexfield import FlatBundleFamily, FlatCurve
@@ -50,4 +52,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(report_errors(main))

@@ -8,10 +8,12 @@ and the final moment-map residual per resolution.
 
 import argparse
 import math
+import sys
 import time
 
 import numpy as np
 
+from adiabat.cli import report_errors
 from adiabat.vortexfield import FlatCurve, moment_residual, vortex_solve
 
 
@@ -42,4 +44,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(report_errors(main))

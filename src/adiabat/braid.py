@@ -18,7 +18,8 @@ from fractions import Fraction
 from typing import Dict, List, Sequence, Tuple
 
 from .errors import (DiagonalCollision, EndpointMismatch, NonIsolatedFixedSet,
-                     TargetsExceedRank, UnrealizableClass)
+                     TargetsExceedRank, UnrealizableClass,
+                     UnsupportedGenus)
 from .topology import MappingClass, jacobian_fixed_points, validate_mapping_class
 from .zlattice import IntMatrix, int_tuple
 
@@ -262,6 +263,9 @@ def braid_construct(mc: MappingClass, targets: Dict[Tuple[int, ...], int],
     fixed points when at least two are needed.  A single padding strand is
     allowed but may add one extra fixed point; the census is authoritative.
     """
+    if mc.genus != 1:
+        raise UnsupportedGenus("braids are built on genus-1 mapping tori "
+                               "only", genus=mc.genus)
     grp = mc.classes
     if not grp.is_finite:
         raise NonIsolatedFixedSet(

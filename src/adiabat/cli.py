@@ -379,27 +379,36 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def main(argv=None) -> int:
-    ap = build_parser()
+def report_errors(run, *args) -> int:
+    """``run(*args)``, with a library or input error reported as the CLI
+    reports it: one JSON object on stderr, and the error's exit code.
+    The scripts under ``scripts/`` run their ``main`` through it."""
     try:
-        try:
-            args = ap.parse_args(argv)
-        except SystemExit as exc:  # --help
-            return 0 if exc.code in (0, None) else 1
-        for name, val in vars(args).items():
-            vals = val if isinstance(val, list) else [val]
-            if any(isinstance(v, float) and not math.isfinite(v)
-                   for v in vals):
-                raise ValueError(f"--{name} must be finite")
-            if name in POSITIVE_FLAGS and not val > 0:
-                raise ValueError(f"--{name} must be positive")
-        return args.func(args)
+        return run(*args) or 0
     except AdiabatError as exc:
         _error(exc.to_json())
         return exc.exit_code
     except (ValueError, OSError, json.JSONDecodeError, KeyError) as exc:
         _error({"error": type(exc).__name__, "message": str(exc)})
         return 1
+
+
+def _run(argv) -> int:
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # --help
+        return 0 if exc.code in (0, None) else 1
+    for name, val in vars(args).items():
+        vals = val if isinstance(val, list) else [val]
+        if any(isinstance(v, float) and not math.isfinite(v) for v in vals):
+            raise ValueError(f"--{name} must be finite")
+        if name in POSITIVE_FLAGS and not val > 0:
+            raise ValueError(f"--{name} must be positive")
+    return args.func(args)
+
+
+def main(argv=None) -> int:
+    return report_errors(_run, argv)
 
 
 if __name__ == "__main__":

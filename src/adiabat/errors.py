@@ -80,6 +80,10 @@ class UnrealizableClass(AdiabatError):
     code = "unrealizable_class"
 
 
+class UnsupportedGenus(AdiabatError):
+    code = "unsupported_genus"
+
+
 class HolonomyMismatch(AdiabatError):
     code = "holonomy_mismatch"
 

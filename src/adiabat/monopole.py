@@ -53,7 +53,7 @@ GMRES_MAXITER = 40
 # Eisenstat-Walker forcing terms of the GMRES solves (``forcing_term``)
 FORCING_MAX = 1e-3
 FORCING_SAFEGUARD = 1e-4
-# regularization of the mode-by-mode preconditioner's blocks
+# regularization of the mode symbol's inverse, the Newton preconditioner
 PRECONDITIONER_DELTA = 1e-3
 
 
@@ -459,27 +459,95 @@ def block_N(Xi: Config3D, a: np.ndarray, phi: np.ndarray):
     return oa, ophi
 
 
-def linearize_apply(Xi: Config3D, xi: Tangent3D, eps: float) -> Tangent3D:
-    """The symmetric operator D_eps(Xi) xi in the swapped-row layout.
+def _blocks(rows) -> np.ndarray:
+    """A square array of broadcastable symbols as one (..., k, k) stack."""
+    shape = np.broadcast_shapes(*(np.shape(e) for row in rows for e in row))
+    return np.moveaxis(np.array([[np.broadcast_to(e, shape) for e in row]
+                                 for row in rows], complex), (0, 1), (-2, -1))
 
-    Rows 2 and 5 carry the background potential terms +V phi and +V psi so
-    that negating them recovers the derivative of the five-row map.
+
+def _inverse(A: np.ndarray) -> np.ndarray:
+    """(A + PRECONDITIONER_DELTA)^-1 per block, and about the identity on
+    the blocks below delta: the mean of the fields of zero twist."""
+    small = np.abs(A).max(axis=(-2, -1)) < PRECONDITIONER_DELTA
+    shift = np.where(small, 1.0, PRECONDITIONER_DELTA)
+    return np.linalg.inv(A + shift[..., None, None] * np.eye(A.shape[-1]))
+
+
+class _ModeSymbol:
+    """The derivative part of D_eps in the (omega, k) modes of the R m-slice
+    unfolding: a 4x4 symbol A4 on (p, q, v, c), a = p dz + q dzbar, and a
+    2x2 symbol A2 on each (phi_j, psi_j).  ``apply`` multiplies by them,
+    ``precondition`` (the Newton preconditioner) by their ``_inverse``.
+    Only the curve, the slices, the seam and the twists are read.
     """
-    ie2 = 1.0 / eps ** 2
-    Na, Nphi = block_N(Xi, xi.a, xi.phi)
-    Ga, Gphi = block_G(Xi, xi.v)
-    Sa, Sphi = block_Sstar(Xi, xi.c, xi.psi)
-    gauge = ie2 * block_Gstar(Xi, xi.a, xi.phi) \
-        + block_Lstar(Xi, xi.c, xi.psi)
-    Sc, Spsi = block_S(Xi, xi.a, xi.phi)
-    Lc, Lpsi = block_L(Xi, xi.v)
-    Mc, Mpsi = block_M(Xi, xi.c, xi.psi)
-    out = Tangent3D(
-        a=Na + Ga + Sa,
-        phi=Nphi + Gphi + Sphi + Xi.V[:, None] * xi.phi,
-        v=gauge,
-        c=ie2 * Sc + Lc + Mc,
-        psi=ie2 * Spsi + Lpsi + Mpsi + Xi.V[:, None] * xi.psi)
+
+    def __init__(self, Xi: Config3D, eps: float):
+        curve = Xi.curve
+        self.Xi = Xi
+        ie2, w = 1.0 / eps ** 2, curve.form_weight
+        om = 2.0 * math.pi * Xi.m * np.fft.fftfreq(Xi.seam.order * Xi.m)
+        om = om.reshape(-1, 1, 1)
+        l0, zp = curve.lam((0.0, 0.0)), curve.dz_symbol()
+        # rows: *d_t a - dv - *dc, ie2 *d*a + d_t c, ie2 *da - d_t v
+        self.A4 = _blocks([
+            [om, 0, -zp, 1j * zp],
+            [0, -om, -l0, -1j * l0],
+            [ie2 * w * l0, ie2 * w * zp, 0, 1j * om],
+            [1j * ie2 * w * l0, -1j * ie2 * w * zp, -1j * om, 0]])
+        # i d_t has the symbol -omega
+        om = om[:, None]
+        self.A2 = _blocks([[-om, -Xi.dbar.lam_adj],
+                           [-ie2 * Xi.dbar.lam, om]])
+        self.inv4, self.inv2 = _inverse(self.A4), _inverse(self.A2)
+
+    def apply(self, xi: Tangent3D) -> Tangent3D:
+        return self._map(xi, self.A4, self.A2)
+
+    def precondition(self, xi: Tangent3D) -> Tangent3D:
+        return self._map(xi, self.inv4, self.inv2)
+
+    def _map(self, xi: Tangent3D, S4: np.ndarray,
+             S2: np.ndarray) -> Tangent3D:
+        Xi = self.Xi
+        curve, m, tw = Xi.curve, Xi.m, Xi.twists
+        # unfold in t and transform all fields to mode space
+        p, q = form_pq(curve, _extend(Xi, xi.a, "form"))
+        vec4 = np.stack([p, q, _extend(Xi, xi.v, "scalar"),
+                         _extend(Xi, xi.c, "scalar")], axis=1)
+        vec2 = np.stack([_extend(Xi, xi.phi, "section"),
+                         _extend(Xi, xi.psi, "form01")], axis=1)
+        vec4 = np.fft.fft(curve.to_modes(vec4), axis=0)
+        vec2 = np.fft.fft(curve.to_modes(vec2, tw), axis=0)
+        vec4 = np.einsum("tijab,tbij->taij", S4, vec4)
+        vec2 = np.einsum("tkijab,tbkij->takij", S2, vec2)
+        p, q, v, c = np.moveaxis(
+            curve.from_modes(np.fft.ifft(vec4, axis=0)[:m]), 1, 0)
+        phi, psi = np.moveaxis(
+            curve.from_modes(np.fft.ifft(vec2, axis=0)[:m], tw), 1, 0)
+        return Tangent3D(a=form_xy(curve, p, q), phi=phi, v=v, c=c, psi=psi)
+
+
+def linearize_apply(Xi: Config3D, xi: Tangent3D, eps: float,
+                    symbol: Optional[_ModeSymbol] = None) -> Tangent3D:
+    """The symmetric operator D_eps(Xi) xi in the swapped-row layout: the
+    mode ``symbol`` at eps (built unless given) plus the pointwise coupling
+    with Phi, Psi, q(dev) + cq, V and b.  Rows 2 and 5 carry +V phi and
+    +V psi so that negating them recovers the derivative of the five-row
+    map."""
+    out = (symbol or _ModeSymbol(Xi, eps)).apply(xi)
+    ie2, w = 1.0 / eps ** 2, Xi.curve.form_weight
+    qa = _q_of(Xi, xi.a)[:, None]
+    v, c, V, b = xi.v[:, None], xi.c[:, None], Xi.V[:, None], Xi.b[:, None]
+    x_dot, y_dot = _pair01(Xi.Phi, xi.phi), _pair01(Xi.Psi, xi.psi)
+    out.a -= 1j * _im_form01(Xi.curve, _pair01(Xi.Psi, xi.phi)
+                             + _pair01(xi.psi, Xi.Phi))
+    out.phi += -w * np.conj(qa) * Xi.Psi + (v + 1j * c) * Xi.Phi \
+        + (1j * b + V) * xi.phi - Xi.dbar.q_adj * xi.psi
+    out.v -= 1j * (ie2 * np.imag(x_dot) + w * np.imag(y_dot))
+    out.c += 1j * (w * np.real(y_dot) - ie2 * np.real(x_dot))
+    out.psi += -ie2 * (qa * Xi.Phi + Xi.dbar.q * xi.phi) \
+        + (v - 1j * c) * Xi.Psi + (V - 1j * b) * xi.psi
     return out
 
 
@@ -628,73 +696,6 @@ def _unpack(Xi: Config3D, vec: np.ndarray) -> Tangent3D:
     return Tangent3D(*out)
 
 
-class _ModePreconditioner:
-    """Approximate inverse of the derivative-only operator, mode by mode.
-
-    In the unfolded Fourier representation the derivative blocks decouple
-    into a 4x4 system on (p, q, v, c) and per-component 2x2 systems on
-    (phi_j, psi_j); their delta-regularized inverses form the preconditioner
-    for the Newton GMRES solves.
-    """
-
-    def __init__(self, Xi: Config3D, eps: float):
-        curve = Xi.curve
-        self.Xi = Xi
-        Mt = Xi.seam.order * Xi.m
-        om = 2.0 * math.pi * Xi.m * np.fft.fftfreq(Mt)
-        lam0 = curve.lam((0.0, 0.0))
-        zp = curve.dz_symbol()
-        ie2 = 1.0 / eps ** 2
-        k2 = 2.0 * curve.imu / curve.area
-        n = curve.n
-        O = om.reshape(-1, 1, 1) * np.ones((1, n, n))
-        Z = np.zeros_like(O, complex)
-        L0 = np.broadcast_to(lam0, O.shape)
-        ZP = np.broadcast_to(zp, O.shape)
-        A4 = np.stack([
-            np.stack([O + 0j, Z, -ZP, 1j * ZP], axis=-1),
-            np.stack([Z, -O + 0j, -L0, -1j * L0], axis=-1),
-            np.stack([ie2 * k2 * L0, ie2 * k2 * ZP, Z, 1j * O], axis=-1),
-            np.stack([ie2 * 2j * curve.imu / curve.area * L0,
-                      -ie2 * 2j * curve.imu / curve.area * ZP,
-                      -1j * O, Z], axis=-1),
-        ], axis=-2)
-        A4 = A4 + PRECONDITIONER_DELTA * np.eye(4)
-        self.inv4 = np.linalg.inv(A4)          # (Mt, n, n, 4, 4)
-        w = curve.form_weight
-        O = om.reshape(-1, 1, 1, 1) * np.ones((1, Xi.N, n, n))
-        L = np.broadcast_to(Xi.dbar.lam, O.shape)
-        A2 = np.stack([
-            np.stack([1j * O, -w * np.conj(L)], axis=-1),
-            np.stack([-ie2 * L, -1j * O], axis=-1),
-        ], axis=-2)
-        A2 = A2 + PRECONDITIONER_DELTA * np.eye(2)
-        self.inv2 = np.linalg.inv(A2)          # (Mt, N, n, n, 2, 2)
-
-    def apply(self, xi: Tangent3D) -> Tangent3D:
-        Xi = self.Xi
-        curve = Xi.curve
-        m = Xi.m
-        tw = Xi.twists
-        # unfold in t and transform all fields to mode space
-        a_ext = _extend(Xi, xi.a, "form")
-        p, q = form_pq(curve, a_ext)
-        vec4 = np.stack([p, q, _extend(Xi, xi.v, "scalar"),
-                         _extend(Xi, xi.c, "scalar")], axis=1)
-        vec2 = np.stack([_extend(Xi, xi.phi, "section"),
-                         _extend(Xi, xi.psi, "form01")], axis=1)
-        vec4 = np.fft.fft(curve.to_modes(vec4), axis=0)
-        vec2 = np.fft.fft(curve.to_modes(vec2, tw), axis=0)
-        sol4 = np.einsum("tijab,tbij->taij", self.inv4, vec4)
-        sol2 = np.einsum("tkijab,tbkij->takij", self.inv2, vec2)
-        p_s, q_s, v_s, c_s = np.moveaxis(
-            curve.from_modes(np.fft.ifft(sol4, axis=0)[:m]), 1, 0)
-        phi_s, psi_s = np.moveaxis(
-            curve.from_modes(np.fft.ifft(sol2, axis=0)[:m], tw), 1, 0)
-        return Tangent3D(a=form_xy(curve, p_s, q_s),
-                         phi=phi_s, v=v_s, c=c_s, psi=psi_s)
-
-
 def forcing_term(res: float) -> float:
     """GMRES relative tolerance of a Newton step at residual ``res``.
 
@@ -729,9 +730,7 @@ def newton_refine(Xi0: Config3D, eps: float) -> Tuple[Config3D, List[Dict]]:
     prev = math.inf
     increases = 0
     size = len(_pack(Tangent3D.zero(Xi0)))
-    # reads only the curve, the slices, the seam and the twists, which
-    # Newton updates leave unchanged
-    pre = _ModePreconditioner(Xi0, eps)
+    symbol = _ModeSymbol(Xi0, eps)
     for k in range(NEWTON_MAX_ITER):
         R = sw_map(Xi, eps)
         res = weighted_norm(Xi, R, eps, 2, 0).value
@@ -759,10 +758,11 @@ def newton_refine(Xi0: Config3D, eps: float) -> Tuple[Config3D, List[Dict]]:
         def mv(vec):
             nonlocal products
             products += 1
-            return _pack(linearize_apply(Xi_k, _unpack(Xi_k, vec), eps))
+            return _pack(linearize_apply(Xi_k, _unpack(Xi_k, vec), eps,
+                                         symbol))
 
         def pc(vec):
-            return _pack(pre.apply(_unpack(Xi_k, vec)))
+            return _pack(symbol.precondition(_unpack(Xi_k, vec)))
 
         op = LinearOperator((size, size), matvec=mv, dtype=float)
         M = LinearOperator((size, size), matvec=pc, dtype=float)

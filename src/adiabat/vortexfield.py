@@ -666,7 +666,8 @@ def save_field(path: str, values: np.ndarray, sidecar: dict) -> None:
 def load_field(path: str) -> Tuple[np.ndarray, dict]:
     with open(path + ".json") as fh:
         sidecar = json.load(fh)
-    raw = np.frombuffer(open(path, "rb").read(), dtype="<f8")
+    with open(path, "rb") as fh:
+        raw = np.frombuffer(fh.read(), dtype="<f8")
     n = sidecar["n"]
     pairs = raw.reshape(-1, n, n, 2)
     values = pairs[..., 0] + 1j * pairs[..., 1]

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+import adiabat.braid
 import adiabat.cli
 import adiabat.transport
 import adiabat.zlattice
@@ -283,6 +284,21 @@ class TestMalformedExactInput:
         path.write_text(json.dumps(targets))
         self.check(capsys, ["braid-make", "--matrix=-1,0;0,-1", "--rank",
                             rank, "--targets", str(path)], error)
+
+    def test_genus_two_refused_up_front(self, capsys, tmp_path,
+                                        monkeypatch):
+        """Braids live on genus-1 mapping tori: braid-make refuses genus 2
+        before it computes a fixed point."""
+        calls = []
+        monkeypatch.setattr(adiabat.braid, "jacobian_fixed_points",
+                            lambda mc: calls.append(mc))
+        path = tmp_path / "targets.json"
+        path.write_text(json.dumps([{"class": [0, 0, 0, 0], "count": 1}]))
+        self.check(capsys, ["braid-make", "--genus", "2", "--matrix",
+                            "0,0,1,0;0,0,0,1;-1,0,-1,0;0,-1,0,0", "--rank",
+                            "1", "--targets", str(path)],
+                   "unsupported_genus")
+        assert calls == []
 
 
 class TestNumericalLayer:

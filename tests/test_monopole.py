@@ -2,6 +2,7 @@
 
 import json
 import os
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -55,10 +56,56 @@ def seam_of(family, n):
 
 README_BRAID = (MINUS_ID, 2, [([0, 1], 1), ([1, 0], 1)])
 
+# rank-2 braids whose second strand moves: (f*, targets)
+MOVING_BRAIDS = {
+    "minus-id": (MINUS_ID, [([0, 1], 2)]),
+    "order4": ([[0, -1], [1, 0]], [([0, 0], 2)]),
+    "order6": ([[0, -1], [1, 1]], [([0, 0], 2)]),
+}
+ROWS = ("a", "phi", "v", "c", "psi")
+
+
+def rows(xi):
+    """The five fields of a tangent, in ``ROWS`` order."""
+    return [getattr(xi, row) for row in ROWS]
+
 
 @pytest.fixture(scope="module")
 def Xi():
     return adiabatic_config(FlatCurve(MU, 12), smooth_family(), 16, 64)
+
+
+@pytest.fixture(scope="module")
+def moving_strand_configs():
+    """The ``MOVING_BRAIDS`` assembled with the moving strand active, on
+    the curve f* preserves (n = 8, m = 8, 32 transport steps)."""
+    out = {}
+    for name, (fstar, targets) in MOVING_BRAIDS.items():
+        family = FlatBundleFamily.from_braid(made_braid(fstar, 2, targets))
+        curve = FlatCurve(invariant_modulus(family.mc.fstar.to_lists()), 8)
+        out[name] = assemble_adiabatic(transported(curve, family, 1, 32),
+                                       family, 8, k0=1)
+    return out
+
+
+def block_sum(Xi, xi, eps):
+    """D_eps as the sum of its operator blocks, the reference for the
+    mode-symbol ``linearize_apply``."""
+    ie2 = 1.0 / eps ** 2
+    Na, Nphi = monopole.block_N(Xi, xi.a, xi.phi)
+    Ga, Gphi = monopole.block_G(Xi, xi.v)
+    Sa, Sphi = monopole.block_Sstar(Xi, xi.c, xi.psi)
+    gauge = ie2 * monopole.block_Gstar(Xi, xi.a, xi.phi) \
+        + monopole.block_Lstar(Xi, xi.c, xi.psi)
+    Sc, Spsi = monopole.block_S(Xi, xi.a, xi.phi)
+    Lc, Lpsi = monopole.block_L(Xi, xi.v)
+    Mc, Mpsi = monopole.block_M(Xi, xi.c, xi.psi)
+    return Tangent3D(
+        a=Na + Ga + Sa,
+        phi=Nphi + Gphi + Sphi + Xi.V[:, None] * xi.phi,
+        v=gauge,
+        c=ie2 * Sc + Lc + Mc,
+        psi=ie2 * Spsi + Lpsi + Mpsi + Xi.V[:, None] * xi.psi)
 
 
 def base_point_family(a0):
@@ -167,15 +214,11 @@ class TestSeam:
             SeamGluing(FlatCurve(1j, 8), 2 * np.eye(2, dtype=int), (0,),
                        np.zeros((1, 2)), np.zeros((1, 2), int))
 
-    def test_moving_active_strand_refines(self):
-        """The f* = -1 braid with a moving strand, refined with that strand
-        active, contracts quadratically at eps 0.2."""
-        family = FlatBundleFamily.from_braid(
-            made_braid(MINUS_ID, 2, [([0, 1], 2)]))
-        curve = FlatCurve(1j, 8)
-        Xi = assemble_adiabatic(transported(curve, family, 1, 32), family, 8,
-                                k0=1)
-        _, log = newton_refine(Xi, eps=0.2)
+    @pytest.mark.parametrize("name", list(MOVING_BRAIDS))
+    def test_moving_active_strand_refines(self, moving_strand_configs, name):
+        """A braid refined with its moving strand active, on seams of order
+        2, 4 and 6, contracts quadratically at eps 0.2."""
+        _, log = newton_refine(moving_strand_configs[name], eps=0.2)
         res = [entry["residual_0_2_eps"] for entry in log]
         assert res[0] > 1.0
         assert res[-1] < 1e-9
@@ -219,6 +262,42 @@ class TestLinearization:
             rhs = ip3(Xi, u, linearize_apply(Xi, w, eps), eps)
             scale = abs(lhs) + abs(rhs) + 1.0
             assert abs(lhs - rhs) < 1e-10 * scale
+
+    @pytest.mark.parametrize("eps", [0.2, 0.05])
+    @pytest.mark.parametrize("name", ["smooth", *MOVING_BRAIDS])
+    def test_matches_block_sum(self, Xi, moving_strand_configs, name, eps):
+        """The mode symbol plus the pointwise coupling is the block
+        operator, on full-band complex tangents and with V, b != 0."""
+        rng = np.random.default_rng(17)
+
+        def noise(arr):
+            return rng.standard_normal(arr.shape) \
+                + 1j * rng.standard_normal(arr.shape)
+
+        base = Xi if name == "smooth" else moving_strand_configs[name]
+        base = replace(base, V=noise(base.V), b=noise(base.b))
+        xi = Tangent3D(*map(noise, rows(Tangent3D.zero(base))))
+        got = linearize_apply(base, xi, eps)
+        want = block_sum(base, xi, eps)
+        for row, g, w in zip(ROWS, rows(got), rows(want)):
+            assert np.max(np.abs(g - w)) <= 1e-13 * np.max(np.abs(w)), row
+
+    def test_preconditioner_inverts_the_symbol(self, Xi):
+        """On the zero background D_eps is its mode symbol: the
+        preconditioner undoes it on every mode but the mean, to the
+        PRECONDITIONER_DELTA shift, and leaves the mean as it is."""
+        flat = replace(Xi, dev=0 * Xi.dev, Phi=0 * Xi.Phi, V=0 * Xi.V,
+                       b=0 * Xi.b, Psi=0 * Xi.Psi, cq=0 * Xi.cq)
+        symbol = monopole._ModeSymbol(flat, 0.2)
+        xi = random_tangent(flat, np.random.default_rng(19))
+        xi = Tangent3D(*(f - np.mean(f, axis=(0, -2, -1), keepdims=True)
+                         for f in rows(xi)))
+        back = symbol.precondition(linearize_apply(flat, xi, 0.2, symbol))
+        for row, b, f in zip(ROWS, rows(back), rows(xi)):
+            assert np.max(np.abs(b - f)) < 1e-2 * np.max(np.abs(f)), row
+        mean = Tangent3D(*map(np.ones_like, rows(Tangent3D.zero(flat))))
+        for row, k in zip(ROWS, rows(symbol.precondition(mean))):
+            assert np.max(np.abs(k - 1.0)) < 1e-12, row
 
     def test_finite_difference_oracle(self, Xi):
         rng = np.random.default_rng(13)
