@@ -399,6 +399,9 @@ def _run(argv) -> int:
     except SystemExit as exc:  # --help
         return 0 if exc.code in (0, None) else 1
     for name, val in vars(args).items():
+        # argparse drops a value "--" (--matrix=--) and leaves a list
+        if val == []:
+            raise ValueError(f"--{name} needs a value")
         vals = val if isinstance(val, list) else [val]
         if any(isinstance(v, float) and not math.isfinite(v) for v in vals):
             raise ValueError(f"--{name} must be finite")

@@ -324,7 +324,7 @@ def assemble_adiabatic(trace: TransportTrace, family: FlatBundleFamily,
         cq[i] = 2j * math.pi * form_q(curve, da[:, 0], da[:, 1])
         aref_dot[i] = family.paths[k0].deriv(t)
         sigma_t[i] = family.sigma(t)
-    Psi = aux_spinor(VortexStack(curve, dev, Phi, twists), family, ts)[1]
+    Psi = aux_spinor(VortexStack(curve, dev, Phi, twists), family, ts)[0]
     # dev holds the slices' alpha until the Psi solve has read it
     dev -= 1j * ref[:, :, None, None]
     Xi = Config3D(curve=curve, family=family, m=m, dev=dev, Phi=Phi,
@@ -460,18 +460,24 @@ def block_N(Xi: Config3D, a: np.ndarray, phi: np.ndarray):
 
 
 def _blocks(rows) -> np.ndarray:
-    """A square array of broadcastable symbols as one (..., k, k) stack."""
+    """A square array of broadcastable (Mt, ...) symbols as one contiguous
+    (Mt, k, k, ...) stack: the block axes before the grid axes, so that a
+    product with a (Mt, k, ...) field reads memory in order."""
     shape = np.broadcast_shapes(*(np.shape(e) for row in rows for e in row))
-    return np.moveaxis(np.array([[np.broadcast_to(e, shape) for e in row]
-                                 for row in rows], complex), (0, 1), (-2, -1))
+    return np.ascontiguousarray(np.moveaxis(np.array(
+        [[np.broadcast_to(e, shape) for e in row] for row in rows], complex),
+        2, 0))
 
 
 def _inverse(A: np.ndarray) -> np.ndarray:
-    """(A + PRECONDITIONER_DELTA)^-1 per block, and about the identity on
-    the blocks below delta: the mean of the fields of zero twist."""
+    """(A + PRECONDITIONER_DELTA)^-1 per block of a (Mt, k, k, ...) stack,
+    and about the identity on the blocks below delta: the mean of the fields
+    of zero twist."""
+    A = np.moveaxis(A, (1, 2), (-2, -1))
     small = np.abs(A).max(axis=(-2, -1)) < PRECONDITIONER_DELTA
     shift = np.where(small, 1.0, PRECONDITIONER_DELTA)
-    return np.linalg.inv(A + shift[..., None, None] * np.eye(A.shape[-1]))
+    inv = np.linalg.inv(A + shift[..., None, None] * np.eye(A.shape[-1]))
+    return np.ascontiguousarray(np.moveaxis(inv, (-2, -1), (1, 2)))
 
 
 class _ModeSymbol:
@@ -519,8 +525,8 @@ class _ModeSymbol:
                          _extend(Xi, xi.psi, "form01")], axis=1)
         vec4 = np.fft.fft(curve.to_modes(vec4), axis=0)
         vec2 = np.fft.fft(curve.to_modes(vec2, tw), axis=0)
-        vec4 = np.einsum("tijab,tbij->taij", S4, vec4)
-        vec2 = np.einsum("tkijab,tbkij->takij", S2, vec2)
+        vec4 = np.einsum("tabij,tbij->taij", S4, vec4)
+        vec2 = np.einsum("tabkij,tbkij->takij", S2, vec2)
         p, q, v, c = np.moveaxis(
             curve.from_modes(np.fft.ifft(vec4, axis=0)[:m]), 1, 0)
         phi, psi = np.moveaxis(

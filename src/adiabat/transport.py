@@ -12,7 +12,11 @@ where Psi is the unique solution of the elliptic equation
 beta_j being the evolving connection on summand j (the stored iR-valued
 1-form alpha plus the flat deviation 2 pi i (a_j(t) - a_j(0)) (dx,dy)).
 dbar_beta and its adjoint are one ``vortexfield.Dolbeault``, built once
-per Psi equation from the twists and the dzbar coefficient of beta.
+per Psi equation from the twists and the dzbar coefficient of beta.  The
+equation is solved on the untwisted Fourier modes of Psi, where the twist
+phases drop out: a conjugate-gradient product is one inverse and one
+forward 2D transform, and the phases touch only the right-hand side and
+the solution, whose last inverse transform also gives dbar_beta* Psi.
 Integration is classical RK4 in the b = 0 gauge with substeps aligned to
 the family's breakpoints; the moment-map residual is the step acceptance
 criterion.  One integrator advances a stack of K starts of one family
@@ -75,49 +79,86 @@ class VortexStack:
 class PsiOperator:
     """dbar_beta dbar_beta* + (1/2) <., Phi> Phi for each configuration of a
     stack, beta being alpha plus the flat deviations ``q_dev``: (N,) shared
-    by the stack, or (K, N).
+    by the stack, or (K, N), acting on untwisted Fourier modes.
 
-    The Dolbeault operator ``dbar`` and the preconditioner are built once
-    and serve every product of a solve.  The preconditioner inverts the
-    flat-part Fourier symbol plus the mean density shift.
+    A twisted section Psi = e Psi~, e the twist phase of its component and
+    Psi~ periodic, is carried by the modes psi^ = F(Psi~).  In that frame
+    the phases drop out: dbar_beta acts on Psi~ as the symbol lam plus the
+    pointwise q, and |e| = 1 gives <Psi, Phi> = sum_j Psi~_j conj(Phi~_j).
+    So one product is an inverse 2D transform of the pair [psi^, w conj(lam)
+    psi^], giving Psi~ and u~ = e^-1 dbar_beta* Psi, and a forward one of
+    [u~, q u~ + (1/2) <Psi~, Phi~> Phi~]; the preconditioner multiplies by
+    the inverse of the flat-part symbol plus the mean density shift.  The
+    transform scales every vector alike, so the conjugate-gradient stopping
+    rule and iterations are those of the twisted frame.
+
+    The Dolbeault operator ``dbar`` holds lam, w conj(lam), q and w conj(q);
+    it, the preconditioner and the (2, K, N, n, n) work array are built
+    once and serve every product of a solve.
     """
 
     def __init__(self, stack: VortexStack, q_dev):
         curve = stack.curve
         q_dev = np.asarray(q_dev)[..., None, None]
-        self.Phi = stack.Phi
-        self.Phi_conj = np.conj(stack.Phi)
         q_alpha = form_q(curve, stack.alpha[:, 0], stack.alpha[:, 1])
         self.dbar = Dolbeault(curve, stack.twists, q_alpha[:, None] + q_dev)
+        self.phase = curve.twist_phase(stack.twists)
+        # conj(Phi~) and (1/2) Phi~, Phi~ = Phi / e
+        self.Phi_conj = np.conj(stack.Phi) * self.phase
+        self.half_Phi = 0.5 * np.conj(self.Phi_conj)
         dens = np.sum(np.abs(stack.Phi) ** 2, axis=-3)
         shift = 0.5 * np.mean(dens, axis=(-2, -1)) + 1e-12
         self.inv = 1.0 / (curve.form_weight
                           * np.abs(self.dbar.lam + q_dev) ** 2
                           + shift[:, None, None, None])
+        self.work = np.empty((2,) + stack.Phi.shape, complex)
 
     def precondition(self, r: np.ndarray) -> np.ndarray:
-        return self.dbar.curve.spectral(r, self.inv, self.dbar.twists)
+        return self.inv * r
 
 
-def apply_psi_operator(op: PsiOperator, Psi: np.ndarray) -> np.ndarray:
-    """dbar dbar* Psi + (1/2) <Psi, Phi> Phi with connection beta."""
-    out = op.dbar.apply(op.dbar.adjoint(Psi))
-    pair = np.sum(Psi * op.Phi_conj, axis=-3)
-    out += 0.5 * pair[:, None] * op.Phi
+def _untwisted(op: PsiOperator, psi_hat: np.ndarray) -> np.ndarray:
+    """[Psi~, u~] in ``op.work``: the periodic parts of Psi and of
+    dbar_beta* Psi, from one inverse transform of [psi^, w conj(lam) psi^]."""
+    work = op.work
+    work[0] = psi_hat
+    np.multiply(op.dbar.lam_adj, psi_hat, out=work[1])
+    # the 2D inverse transform; numpy's ifft2 drops its ``out`` argument
+    np.fft.ifftn(work, axes=(-2, -1), norm="forward", out=work)
+    work[1] += op.dbar.q_adj * work[0]
+    return work
+
+
+def apply_psi_operator(op: PsiOperator, psi_hat: np.ndarray) -> np.ndarray:
+    """The modes of dbar dbar* Psi + (1/2) <Psi, Phi> Phi, untwisted, from
+    those of Psi: one inverse and one forward transform."""
+    work = _untwisted(op, psi_hat)
+    pair = np.sum(work[0] * op.Phi_conj, axis=-3)
+    np.multiply(op.dbar.q, work[1], out=work[0])
+    work[0] += pair[:, None] * op.half_Phi
+    np.fft.fft2(work, norm="forward", out=work)
+    out = op.dbar.lam * work[1]
+    out += work[0]
     return out
 
 
-def solve_psi(op: PsiOperator, rhs: np.ndarray) -> np.ndarray:
-    """Solve the Psi equation of every system of the stack by ``pcg`` to
-    the relative residual ``PSI_RTOL``.  The operator is Hermitian positive
-    definite at regular parameters (Phi not identically zero); a solve that
-    breaks down or stalls raises SingularOperator."""
+def solve_psi(op: PsiOperator, rhs: np.ndarray):
+    """(Psi, dbar_beta* Psi): the Psi equation with right-hand side ``rhs``
+    solved for every system of the stack by ``pcg`` in the untwisted modes,
+    to the relative residual ``PSI_RTOL``.  The twist phases are removed
+    from ``rhs`` and restored on the solution.  The operator is Hermitian
+    positive definite at regular parameters (Phi not identically zero); a
+    solve that breaks down or stalls raises SingularOperator."""
+    dbar = op.dbar
     try:
-        return pcg(lambda p: apply_psi_operator(op, p), op.precondition, rhs,
-                   PSI_RTOL, PSI_MAXITER)
+        psi_hat = pcg(lambda p: apply_psi_operator(op, p), op.precondition,
+                      dbar.curve.to_modes(rhs, dbar.twists), PSI_RTOL,
+                      PSI_MAXITER)
     except NonConvergence as exc:
         raise SingularOperator(f"auxiliary spinor {exc} (wall or irregular "
                                "parameter)", **exc.detail) from exc
+    Psi, u = _untwisted(op, psi_hat)
+    return op.phase * Psi, op.phase * u
 
 
 def _coefficients(curve: FlatCurve, family: FlatBundleFamily, t: float):
@@ -134,8 +175,8 @@ def _coefficients(curve: FlatCurve, family: FlatBundleFamily, t: float):
 
 
 def aux_spinor(stack: VortexStack, family: FlatBundleFamily, t):
-    """(op, Psi): the Psi operator of the stack at time t and the auxiliary
-    spinor solving the Psi equation there.
+    """(Psi, dbar_beta* Psi): the auxiliary spinor of the stack at time t,
+    solving the Psi equation there, and its image under dbar_beta*.
 
     ``t`` is one time shared by the stack, or a sequence of K times, one per
     configuration (the t-slices of an assembly).
@@ -145,16 +186,15 @@ def aux_spinor(stack: VortexStack, family: FlatBundleFamily, t):
     else:
         q_dev, c = (np.stack(a) for a in zip(
             *(_coefficients(stack.curve, family, s) for s in t)))
-    op = PsiOperator(stack, q_dev)
-    return op, solve_psi(op, c[..., None, None] * stack.Phi)
+    return solve_psi(PsiOperator(stack, q_dev), c[..., None, None] * stack.Phi)
 
 
 def _velocities(stack: VortexStack, family: FlatBundleFamily, t: float):
     """(alpha_dot, Phi_dot) of the parallel-transport ODE at time t."""
-    op, Psi = aux_spinor(stack, family, t)
+    Psi, dbar_adj_Psi = aux_spinor(stack, family, t)
     sigma = np.asarray(family.sigma(t), float)
-    Phi_dot = -1j * op.dbar.adjoint(Psi)
-    eta = np.sum(Psi * op.Phi_conj, axis=-3)
+    Phi_dot = -1j * dbar_adj_Psi
+    eta = np.sum(Psi * np.conj(stack.Phi), axis=-3)
     alpha_dot = -1j * np.stack(
         [np.real(eta) - sigma[0],
          np.real(eta * np.conj(stack.curve.modulus)) - sigma[1]], axis=1)

@@ -558,20 +558,22 @@ def pcg(apply: Callable, precondition: Callable, rhs: np.ndarray,
     ``maxiter`` iterations without convergence raise NonConvergence."""
     x = np.zeros_like(rhs)
     r = rhs.copy()
-    bound = rtol * np.sqrt(_dot(rhs, rhs).real)
     per_system = (-1,) + (1,) * (rhs.ndim - 1)
     p = rho_prev = None
-    for _ in range(maxiter):
-        res = np.sqrt(_dot(r, r).real)
-        if not np.all(np.isfinite(res)):
-            raise NonConvergence("conjugate-gradient solve broke down",
-                                 residuals=res.tolist())
-        active = (res >= bound) & (bound > 0)
-        if not active.any():
-            return x
-        z = precondition(r)
-        rho = _dot(r, z)
-        with np.errstate(divide="ignore", invalid="ignore"):
+    # an overflow or a zero division shows as a non-finite residual, which
+    # raises below; numpy's warning for it would be a second report
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        bound = rtol * np.sqrt(_dot(rhs, rhs).real)
+        for _ in range(maxiter):
+            res = np.sqrt(_dot(r, r).real)
+            if not np.all(np.isfinite(res)):
+                raise NonConvergence("conjugate-gradient solve broke down",
+                                     residuals=res.tolist())
+            active = (res >= bound) & (bound > 0)
+            if not active.any():
+                return x
+            z = precondition(r)
+            rho = _dot(r, z)
             if p is None:
                 p = z
             else:
@@ -579,9 +581,9 @@ def pcg(apply: Callable, precondition: Callable, rhs: np.ndarray,
                 p = z + beta.reshape(per_system) * p
             q = apply(p)
             step = np.where(active, rho / _dot(p, q), 0.0).reshape(per_system)
-        x += step * p
-        r -= step * q
-        rho_prev = rho
+            x += step * p
+            r -= step * q
+            rho_prev = rho
     raise NonConvergence("conjugate-gradient solve stalled", maxiter=maxiter,
                          residuals=res.tolist())
 

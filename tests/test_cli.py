@@ -1,8 +1,13 @@
 """Command-line interface: subcommands, formats, exit codes, determinism."""
 
+import contextlib
+import io
 import json
+import warnings
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import adiabat.braid
 import adiabat.cli
@@ -494,3 +499,96 @@ class TestNumericalLayer:
         # bounds here; tight thresholds are checked on smooth families
         for key in ("identity0", "identity1", "identity2"):
             assert 0 <= report[key] < 1.0
+
+
+# -- random argument vectors for the cheap subcommands ----------------------
+
+def _pairs(elements, max_rows):
+    """Semicolon-separated "a,b" rows, as --matrix and --holonomies read."""
+    return st.lists(st.lists(elements, min_size=2, max_size=2), min_size=1,
+                    max_size=max_rows).map(lambda rows: ";".join(
+                        ",".join(str(x) for x in row) for row in rows))
+
+
+JUNK = st.text(alphabet="0123456789,;-.exn ", max_size=10)
+# elliptic, parabolic and hyperbolic elements of SL(2, Z), then any
+# integer pairs, then text
+MATRIX = st.one_of(st.sampled_from(["-1,0;0,-1", "0,-1;1,0", "0,-1;1,1",
+                                    "1,1;0,1", "1,0;0,1", "2,1;1,1",
+                                    "3,2;1,1", "-2,1;-1,0"]),
+                   _pairs(st.integers(-3, 3), 2), JUNK)
+INTEGER = st.one_of(st.integers(-2, 5).map(str),
+                    st.sampled_from(["x", "", "1.5", "1e9"]))
+REAL = st.one_of(st.floats(-3.0, 3.0).map(repr),
+                 st.sampled_from(["nan", "inf", "-inf", "x", "0", "1e300"]))
+FORMAT = st.sampled_from(["json", "csv", "xml"])
+MATRIX_FLAGS = {"genus": st.sampled_from(["1", "2", "0", "-1"]),
+                "format": FORMAT}
+
+
+def _argv(command, required, optional):
+    """[command, --flag=value, ...]: the required flags and some of the
+    optional ones."""
+    return st.fixed_dictionaries(required, optional=optional).map(
+        lambda flags: [command] + [f"--{k}={v}" for k, v in flags.items()])
+
+
+def _cheap_argv(braid_paths):
+    vortex = st.tuples(
+        _argv("vortex", {"holonomies": st.one_of(
+            _pairs(st.floats(-0.5, 0.5).map(repr), 3), JUNK)},
+            {"component": INTEGER, "tau": REAL}),
+        st.one_of(st.just([]), st.tuples(
+            st.sampled_from(["0.2", "-1", "nan"]),
+            st.sampled_from(["1", "0.5", "0", "-1"])).map(
+                lambda m: ["--modulus", *m])))
+    return st.one_of(
+        _argv("count", {"matrix": MATRIX, "rank": INTEGER,
+                        "degree": INTEGER}, MATRIX_FLAGS),
+        _argv("fix", {"matrix": MATRIX}, MATRIX_FLAGS),
+        _argv("spinc", {"matrix": MATRIX, "degree": INTEGER}, MATRIX_FLAGS),
+        _argv("braid-census", {"braid": st.sampled_from(braid_paths)},
+              {"format": FORMAT}),
+        vortex.map(lambda t: t[0] + ["--grid=8"] + t[1]))
+
+
+@pytest.fixture(scope="module")
+def braid_paths(tmp_path_factory):
+    """A braid file, a malformed one and a path that does not exist."""
+    root = tmp_path_factory.mktemp("braids")
+    good, bad = root / "braid.json", root / "bad.json"
+    good.write_text(even_winding_braid().to_json())
+    bad.write_text('{"genus": 1, "strands": [')
+    return [str(good), str(bad), str(root / "missing.json")]
+
+
+class TestRandomArguments:
+    def test_cheap_subcommands_keep_the_contract(self, braid_paths):
+        """Any argument vector of count, fix, spinc, braid-census and
+        vortex --grid 8 exits 0, 1 or 2; a failure writes one JSON object
+        to stderr and no warning, and a JSON report is strict."""
+        @given(_cheap_argv(braid_paths))
+        # argparse drops the value "--"; tau = 1e300 overflows the CG
+        @example(["fix", "--matrix=--"])
+        @example(["vortex", "--holonomies=0.0,0.0", "--tau=1e300",
+                  "--grid=8"])
+        @settings(max_examples=60, deadline=None, derandomize=True)
+        def check(argv):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err), \
+                    warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = main(argv)
+            assert code in (0, 1, 2), (argv, code)
+            assert not caught, (argv, [str(w.message) for w in caught])
+            if code:
+                assert out.getvalue() == ""
+                assert isinstance(strict_json(err.getvalue()), dict)
+            elif "--format=csv" in argv:
+                assert out.getvalue().strip()
+                assert "nan" not in out.getvalue().lower()
+            else:
+                strict_json(out.getvalue())
+
+        check()

@@ -15,10 +15,12 @@ from adiabat.transport import (PsiOperator, VortexStack, apply_psi_operator,
                                match_strands, numeric_monodromy, solve_psi,
                                transport, transport_stack, transported,
                                vortex_seed)
-from adiabat.vortexfield import (FlatBundleFamily, FlatCurve, HolonomyPath,
-                                 smooth_family, vortex_solve)
+from adiabat.vortexfield import (Dolbeault, FlatBundleFamily, FlatCurve,
+                                 HolonomyPath, form_q, smooth_family,
+                                 vortex_solve)
 from adiabat.zlattice import IntMatrix, cokernel
 
+from tests.test_acceptance import tau_profile
 from tests.test_braid import even_winding_braid, odd_winding_braid
 
 MU = 0.2 + 1.0j
@@ -46,25 +48,91 @@ def final_states(curve, family, starts, steps, tol):
     return states
 
 
+def psi_composition(stack, q_dev, Psi):
+    """dbar_beta dbar_beta* Psi + (1/2) <Psi, Phi> Phi, composed on twisted
+    samples from ``vortexfield.Dolbeault``."""
+    curve = stack.curve
+    q = form_q(curve, stack.alpha[:, 0], stack.alpha[:, 1])[:, None] \
+        + np.asarray(q_dev)[..., None, None]
+    dbar = Dolbeault(curve, stack.twists, q)
+    pair = np.sum(Psi * np.conj(stack.Phi), axis=-3)
+    return dbar.apply(dbar.adjoint(Psi)) + 0.5 * pair[:, None] * stack.Phi, \
+        dbar
+
+
+def random_sections(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+HOL = np.array([[0.13, -0.21], [-0.32, 0.05]])
+
+
+def twisted_stack():
+    """K = 1, N = 2 with twisted components, under a spatial tau."""
+    curve = FlatCurve(MU, 16)
+    cfg, _ = vortex_solve(curve, HOL, 0, tau_profile)
+    return VortexStack.of([cfg]), np.array([0.02 + 0.01j, -0.015 + 0.03j])
+
+
+def stack_of_twists():
+    """K = 3 configurations with their own (N, 2) twists: (K, N, 2)."""
+    curve = FlatCurve(MU, 16)
+    cfgs = [vortex_solve(curve, HOL + shift, k, 2.0)[0]
+            for k, shift in ((0, 0.0), (1, 0.07), (0, -0.11))]
+    stack = VortexStack.of(cfgs)
+    assert stack.twists.shape == (3, 2, 2)
+    return stack, np.array([0.01j, -0.02 + 0.005j])
+
+
+def assembly_stack():
+    """The m-slice assembly shape: shared (N, 2) twists, K slices with their
+    own alpha and Phi, and one q_dev per slice, (K, N)."""
+    curve = FlatCurve(MU, 16)
+    rng = np.random.default_rng(8)
+    cfg, _ = vortex_solve(curve, HOL, 1, tau_profile)
+    K = 4
+    alpha = cfg.alpha + 0.05j * rng.standard_normal((K, 2, 16, 16))
+    Phi = cfg.Phi + 0.1 * random_sections(rng, (K, 2, 16, 16))
+    q_dev = 0.03 * random_sections(rng, (K, 2))
+    return VortexStack(curve, alpha, Phi, cfg.twists), q_dev
+
+
 class TestSolvePsi:
+    @pytest.mark.parametrize("make", [twisted_stack, stack_of_twists,
+                                      assembly_stack])
+    def test_mode_product_matches_composition(self, make):
+        """The product on untwisted modes is the twisted-sample composition
+        of the Dolbeault operator and its adjoint plus the pairing term."""
+        stack, q_dev = make()
+        curve = stack.curve
+        Psi = random_sections(np.random.default_rng(3), stack.Phi.shape)
+        want, _ = psi_composition(stack, q_dev, Psi)
+        op = PsiOperator(stack, q_dev)
+        got = apply_psi_operator(op, curve.to_modes(Psi, stack.twists))
+        got = curve.from_modes(got, stack.twists)
+        assert np.max(np.abs(got - want)) < 1e-13 * np.max(np.abs(want))
+
     def test_residual_small(self):
         rng = np.random.default_rng(2)
         curve = FlatCurve(MU, 16)
-        hol = np.array([[0.13, -0.21], [-0.32, 0.05]])
-        cfg, _ = vortex_solve(curve, hol, 0, 2.0)
+        cfg, _ = vortex_solve(curve, HOL, 0, 2.0)
         q_dev = np.array([0.02 + 0.01j, -0.015 + 0.03j])
         rhs_m = np.zeros((2, 16, 16), complex)
         rhs_m[:, :3, :3] = rng.standard_normal((2, 3, 3)) \
             + 1j * rng.standard_normal((2, 3, 3))
         rhs = np.fft.ifft2(rhs_m, norm="forward")
-        op = PsiOperator(VortexStack.of([cfg]), q_dev)
-        Psi = solve_psi(op, rhs[None])
-        resid = apply_psi_operator(op, Psi)[0] - rhs
+        stack = VortexStack.of([cfg])
+        Psi, dbar_adj_Psi = solve_psi(PsiOperator(stack, q_dev), rhs[None])
+        image, dbar = psi_composition(stack, q_dev, Psi)
+        resid = image[0] - rhs
         assert float(np.max(np.abs(resid))) < 1e-9 * float(np.max(np.abs(rhs)))
+        want = dbar.adjoint(Psi)
+        assert np.max(np.abs(dbar_adj_Psi - want)) \
+            < 1e-13 * np.max(np.abs(want))
 
     def test_stalled_solve_raises_singular_operator(self, monkeypatch):
         curve = FlatCurve(MU, 16)
-        cfg, _ = vortex_solve(curve, [[0.13, -0.21], [-0.32, 0.05]], 0, 2.0)
+        cfg, _ = vortex_solve(curve, HOL, 0, 2.0)
         op = PsiOperator(VortexStack.of([cfg]), [0.02 + 0.01j, 0.03j])
         rhs = np.random.default_rng(1).standard_normal((1, 2, 16, 16)) + 0j
         monkeypatch.setattr(adiabat.transport, "PSI_MAXITER", 1)
@@ -78,24 +146,24 @@ class TestSolvePsi:
         on that system alone."""
         rng = np.random.default_rng(4)
         curve = FlatCurve(MU, 16)
-        hol = np.array([[0.13, -0.21], [-0.32, 0.05]])
         tau = 2.0 + 0.4 * np.cos(2 * np.pi * curve.grid()[0])
-        cfg, _ = vortex_solve(curve, hol, 0, lambda X, Y: tau)
+        cfg, _ = vortex_solve(curve, HOL, 0, lambda X, Y: tau)
         q_dev = np.array([0.02 + 0.01j, -0.015 + 0.03j])
         shape = (2, 16, 16)
         rhs = np.zeros((3,) + shape, complex)
         for k, scale in ((1, 1e-8), (2, 1.0)):
             rhs[k] = scale * (rng.standard_normal(shape)
                               + 1j * rng.standard_normal(shape))
-        op = PsiOperator(VortexStack.of([cfg] * 3), q_dev)
-        Psi = solve_psi(op, rhs)
+        stack = VortexStack.of([cfg] * 3)
+        Psi, _ = solve_psi(PsiOperator(stack, q_dev), rhs)
         assert not Psi[0].any()
-        resid = apply_psi_operator(op, Psi) - rhs
+        resid = psi_composition(stack, q_dev, Psi)[0] - rhs
         one = PsiOperator(VortexStack.of([cfg]), q_dev)
         size = rhs[0].size
 
         def single(fn):
-            """fn on one (N, n, n) system, as a scipy operator."""
+            """fn on the modes of one (N, n, n) system, as a scipy
+            operator."""
             def mv(x):
                 return fn(x.reshape((1,) + shape)).ravel()
             return LinearOperator((size, size), matvec=mv, dtype=complex)
@@ -103,11 +171,50 @@ class TestSolvePsi:
         for k in (1, 2):
             assert np.linalg.norm(resid[k]) <= 1e-12 * np.linalg.norm(rhs[k])
             ref, info = cg(single(lambda x: apply_psi_operator(one, x)),
-                           rhs[k].ravel(), rtol=1e-12, atol=0.0,
+                           curve.to_modes(rhs[k], cfg.twists).ravel(),
+                           rtol=1e-12, atol=0.0,
                            M=single(one.precondition), maxiter=2000)
             assert info == 0
-            err = np.max(np.abs(Psi[k].ravel() - ref))
+            ref = curve.from_modes(ref.reshape(shape), cfg.twists)
+            err = np.max(np.abs(Psi[k] - ref))
             assert err <= 1e-10 * np.max(np.abs(ref))
+
+    def test_one_transform_each_way_per_product(self, monkeypatch):
+        """A product makes one forward and one inverse 2D transform of
+        numpy's, whatever the stack."""
+        stack, q_dev = assembly_stack()
+        op = PsiOperator(stack, q_dev)
+        psi_hat = random_sections(np.random.default_rng(5), stack.Phi.shape)
+        calls = {"forward": 0, "inverse": 0}
+
+        def counted(fn, way):
+            def wrapper(*args, **kwargs):
+                calls[way] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name, way in (("fft2", "forward"), ("fftn", "forward"),
+                          ("ifft2", "inverse"), ("ifftn", "inverse")):
+            monkeypatch.setattr(np.fft, name,
+                                counted(getattr(np.fft, name), way))
+        apply_psi_operator(op, psi_hat)
+        assert calls == {"forward": 1, "inverse": 1}
+
+    def test_transport_makes_the_same_cg_products(self, monkeypatch):
+        """The mode frame keeps the CG iterations: a 64-step transport of
+        the spatial-tau smooth family at n = 16 makes 4556 products (the
+        count of the twisted-sample solver) within 2 %."""
+        products = []
+        original = adiabat.transport.apply_psi_operator
+
+        def counting(op, psi_hat):
+            products.append(1)
+            return original(op, psi_hat)
+
+        monkeypatch.setattr(adiabat.transport, "apply_psi_operator",
+                            counting)
+        transported(FlatCurve(MU, 16), smooth_family(tau_profile), 0, 64)
+        assert abs(len(products) - 4556) <= 0.02 * 4556
 
 
 class TestTransport:
