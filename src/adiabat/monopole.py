@@ -272,7 +272,7 @@ def build_seam(curve: FlatCurve, family: FlatBundleFamily, k0: int,
             k0=k0, permutation=list(family.closing_permutation))
     F = np.array(family.mc.fstar.to_lists(), float)
     C = np.round(F.T).astype(int)
-    dA = family.holonomies(1.0) - family.holonomies(0.0)
+    dA = family.holonomies(1.0) - family.base_holonomies
     perm = tuple(family.closing_permutation)
     v = twists[list(perm)] @ np.linalg.inv(F).T - twists - (dA - dA[k0])
     gauge = np.round(v).astype(int)
@@ -302,7 +302,7 @@ def assemble_adiabatic(trace: TransportTrace, family: FlatBundleFamily,
     twists = trace.states[0].cfg.twists
     seam = build_seam(curve, family, k0, twists)
     N, n = family.N, curve.n
-    base = family.holonomies(0.0)
+    base = family.base_holonomies
     dev = np.empty((m, 2, n, n), complex)
     Phi = np.empty((m, N, n, n), complex)
     cq = np.empty((m, N), complex)
@@ -803,8 +803,10 @@ def random_tangent(Xi: Config3D, rng: np.random.Generator) -> Tangent3D:
     R = Xi.seam.order
     Mt = R * m
     bt = max(2, (m // 4))
-    # the grid map sends mode k to F^-r k, spreading the band by rho (2 at
-    # orders 3 and 6, else 1); rho bs < n / 2 keeps the orbit off Nyquist
+    # the grid map sends mode k to F^-r k, spreading the band by rho (the
+    # largest row sum of |F^-r|); rho bs < n / 2 keeps the orbit off
+    # Nyquist, and bs = 0, a grid too coarse for the spread, leaves the
+    # spatially constant tangents
     rho = max(np.abs(np.linalg.matrix_power(Xi.seam._Finv, r)).sum(1).max()
               for r in range(1, 7))
     bs = n // (2 * rho + 2)
@@ -816,7 +818,7 @@ def random_tangent(Xi: Config3D, rng: np.random.Generator) -> Tangent3D:
         ks = np.fft.fftfreq(n) * n
         # hard truncation outside the band keeps products alias-free
         damp_t = np.exp(-(kt / bt) ** 2) * (np.abs(kt) <= bt)
-        damp_s = np.exp(-(ks / bs) ** 2) * (np.abs(ks) <= bs)
+        damp_s = np.exp(-(ks / max(bs, 1)) ** 2) * (np.abs(ks) <= bs)
         ft = noise * damp_t.reshape(-1, 1, 1, 1)
         ft = ft * damp_s.reshape(1, -1, 1, 1) * damp_s.reshape(1, 1, -1, 1)
         out = np.fft.ifft(np.fft.ifft2(ft, axes=(1, 2)), axis=0)
@@ -852,18 +854,23 @@ def identity_check(Xi: Config3D, samples: int = 10,
     R_Xi y = (-i Im((dz<psi,Psi> + w <psi, dbar Psi>) dz-form),
               -2 c grad_t Phi + i c V Phi - i [grad_t, dbar*] psi
               - w <Psi,psi> Phi + (w/2) <psi,Phi>-bar Psi)
-    under constant J; identities 0 and 1 hold pointwise on any Xi.
+    under constant J; identities 0 and 1 hold pointwise on any Xi.  A
+    residual that is not finite raises Divergence.
     """
     if samples < 1:
         raise ValueError("identity_check needs at least one sample")
     rng = np.random.default_rng(seed)
     fixed = (_grad_t_section(Xi, Xi.Psi, "form01"),
              _grad_t_section(Xi, Xi.Phi, "section"), Xi.dbar.apply(Xi.Psi))
-    out = (0.0, 0.0, 0.0)
+    out = np.zeros(3)
     for _ in range(samples):
         res = _identity_residuals(Xi, random_tangent(Xi, rng), *fixed)
-        out = tuple(max(a, b) for a, b in zip(out, res))
-    return {f"identity{i}": r for i, r in enumerate(out)}
+        # np.maximum keeps a NaN residual, which the built-in max drops
+        out = np.maximum(out, res)
+    if not np.all(np.isfinite(out)):
+        raise Divergence("identity residual is not finite",
+                         residuals=out.tolist())
+    return {f"identity{i}": float(r) for i, r in enumerate(out)}
 
 
 def _identity_residuals(Xi: Config3D, xi: Tangent3D, gPsi: np.ndarray,

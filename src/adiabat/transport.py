@@ -17,6 +17,9 @@ equation is solved on the untwisted Fourier modes of Psi, where the twist
 phases drop out: a conjugate-gradient product is one inverse and one
 forward 2D transform, and the phases touch only the right-hand side and
 the solution, whose last inverse transform also gives dbar_beta* Psi.
+Where rhs vanishes on the whole stack, as on a constant strand with
+sigma = 0 and on the inactive summands of a seed, Psi = 0 is the solution
+and no operator is built.
 Integration is classical RK4 in the b = 0 gauge with substeps aligned to
 the family's breakpoints; the moment-map residual is the step acceptance
 criterion.  One integrator advances a stack of K starts of one family
@@ -161,17 +164,20 @@ def solve_psi(op: PsiOperator, rhs: np.ndarray):
     return op.phase * Psi, op.phase * u
 
 
-def _coefficients(curve: FlatCurve, family: FlatBundleFamily, t: float):
-    """(q_dev, c) at time t, one entry per component: q_dev_j is the dzbar
-    coefficient of the flat deviation a_j(t) - a_j(0), and the Psi equation's
-    right-hand side is c_j Phi_j with c_j = q(sigma) + q(2 pi adot_j)."""
-    da = family.holonomies(t) - family.holonomies(0.0)
+def _rhs_coefficients(curve: FlatCurve, family: FlatBundleFamily, t: float):
+    """c at time t, one entry per component: the Psi equation's right-hand
+    side is c_j Phi_j with c_j = q(sigma) + q(2 pi adot_j)."""
     sigma = np.asarray(family.sigma(t), float)
     adot = TWO_PI * family.velocities(t)
-    q_dev = 2j * math.pi * form_q(curve, da[:, 0], da[:, 1])
-    c = form_q(curve, sigma[0], sigma[1]) \
+    return form_q(curve, sigma[0], sigma[1]) \
         + form_q(curve, adot[:, 0], adot[:, 1])
-    return q_dev, c
+
+
+def _deviation(curve: FlatCurve, family: FlatBundleFamily, t: float):
+    """q_dev at time t, one entry per component: the dzbar coefficient of
+    the flat deviation 2 pi i (a_j(t) - a_j(0))."""
+    da = family.holonomies(t) - family.base_holonomies
+    return 2j * math.pi * form_q(curve, da[:, 0], da[:, 1])
 
 
 def aux_spinor(stack: VortexStack, family: FlatBundleFamily, t):
@@ -179,14 +185,20 @@ def aux_spinor(stack: VortexStack, family: FlatBundleFamily, t):
     solving the Psi equation there, and its image under dbar_beta*.
 
     ``t`` is one time shared by the stack, or a sequence of K times, one per
-    configuration (the t-slices of an assembly).
+    configuration (the t-slices of an assembly).  Where the right-hand side
+    vanishes on the whole stack (constant strands with sigma = 0, or a seed
+    whose active strand is constant) the solution is Psi = 0, and no
+    operator is built.
     """
-    if np.ndim(t) == 0:
-        q_dev, c = _coefficients(stack.curve, family, t)
-    else:
-        q_dev, c = (np.stack(a) for a in zip(
-            *(_coefficients(stack.curve, family, s) for s in t)))
-    return solve_psi(PsiOperator(stack, q_dev), c[..., None, None] * stack.Phi)
+    def at_t(coefficients):
+        if np.ndim(t) == 0:
+            return coefficients(stack.curve, family, t)
+        return np.stack([coefficients(stack.curve, family, s) for s in t])
+
+    rhs = at_t(_rhs_coefficients)[..., None, None] * stack.Phi
+    if not rhs.any():
+        return np.zeros_like(stack.Phi), np.zeros_like(stack.Phi)
+    return solve_psi(PsiOperator(stack, at_t(_deviation)), rhs)
 
 
 def _velocities(stack: VortexStack, family: FlatBundleFamily, t: float):
@@ -349,7 +361,7 @@ def vortex_seed(curve: FlatCurve, family: FlatBundleFamily,
     This is the one place a vortex solve feeds transport: monodromy, the
     ``transport`` command and the 3D assembly all start here.
     """
-    return vortex_solve(curve, family.holonomies(0.0), k, family.tau())[0]
+    return vortex_solve(curve, family.base_holonomies, k, family.tau())[0]
 
 
 def transported(curve: FlatCurve, family: FlatBundleFamily, k: int,
@@ -392,7 +404,7 @@ def match_strands(family: FlatBundleFamily, finals: Iterable[np.ndarray],
     """
     _check_steps(steps)
     F = np.array(family.mc.fstar.to_lists(), float)
-    targets = wrap_twist(-family.holonomies(0.0))
+    targets = wrap_twist(-family.base_holonomies)
     match_tol = 10.0 / steps ** 2
     gaps = [toroidal_distance(a, b)
             for i, a in enumerate(targets) for b in targets[i + 1:]]

@@ -189,8 +189,9 @@ class FlatCurve:
         """
         coef = self.to_modes(vals, theta)
         coef = _product(symbol, coef, coef)
-        return self._phased(np.fft.ifft2(coef, norm="forward", out=coef),
-                            theta)
+        # the 2D inverse transform; numpy's ifft2 drops its ``out`` argument
+        return self._phased(np.fft.ifftn(coef, axes=(-2, -1), norm="forward",
+                                         out=coef), theta)
 
     def _phased(self, vals: np.ndarray, theta) -> np.ndarray:
         """Restore the twist phase on samples this curve has just made."""
@@ -433,6 +434,12 @@ class FlatBundleFamily:
 
     def holonomies(self, t: float) -> np.ndarray:
         return np.stack([p(t) for p in self.paths])
+
+    @functools.cached_property
+    def base_holonomies(self) -> np.ndarray:
+        """The holonomies a_j(0) where the strands start, (N, 2), evaluated
+        once per family and read-only."""
+        return _read_only((self.holonomies(0.0),))[0]
 
     def velocities(self, t: float) -> np.ndarray:
         return np.stack([p.deriv(t) for p in self.paths])

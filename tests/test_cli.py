@@ -562,6 +562,23 @@ def braid_paths(tmp_path_factory):
     return [str(good), str(bad), str(root / "missing.json")]
 
 
+def _sl2z(bound):
+    """The f* in SL(2, Z) with entries in [-bound, bound] and
+    det(1 - f*) = 2 - tr f* != 0, as --matrix values."""
+    span = range(-bound, bound + 1)
+    return [f"{a},{b};{c},{d}" for a in span for b in span for c in span
+            for d in span if a * d - b * c == 1 and a + d != 2]
+
+
+def _kind(matrix):
+    """finite, parabolic or hyperbolic: |tr| < 2 or f* = -1 has finite
+    order, and det(1 - f*) != 0 leaves tr = -2 for the parabolic ones."""
+    (a, b), (c, d) = parse_matrix(matrix).to_lists()
+    if abs(a + d) < 2 or (a, b, c, d) == (-1, 0, 0, -1):
+        return "finite"
+    return "parabolic" if abs(a + d) == 2 else "hyperbolic"
+
+
 class TestRandomArguments:
     def test_cheap_subcommands_keep_the_contract(self, braid_paths):
         """Any argument vector of count, fix, spinc, braid-census and
@@ -590,5 +607,61 @@ class TestRandomArguments:
                 assert "nan" not in out.getvalue().lower()
             else:
                 strict_json(out.getvalue())
+
+        check()
+
+    def test_made_braids_pass_every_layer(self, tmp_path):
+        """braid-make over a random f*, rank and targets drawn from the
+        classes fix prints, then newton and check-identities at n = 8,
+        m = 8: targets beyond the rank exit 1 at braid-make; otherwise a
+        finite-order f* exits 0 throughout, and a parabolic or hyperbolic
+        one exits 1, saying which, since no flat structure is f-invariant."""
+        targets, braid = tmp_path / "targets.json", str(tmp_path / "b.json")
+
+        def run_json(argv):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), \
+                    contextlib.redirect_stderr(err), \
+                    warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                code = main(argv)
+            assert not caught, (argv, [str(w.message) for w in caught])
+            if code:
+                assert out.getvalue() == ""
+                return code, strict_json(err.getvalue())
+            # braid-make --out writes nothing to stdout
+            return code, strict_json(out.getvalue() or "null")
+
+        @given(st.sampled_from(_sl2z(3)), st.integers(1, 2),
+               st.lists(st.integers(0, 99), min_size=1, max_size=3))
+        # parabolic; order 6; order 6 with no spatial band at n = 8
+        @example("-1,1;0,-1", 1, [0])
+        @example("0,-1;1,1", 2, [0, 1])
+        @example("-2,-3;1,1", 1, [0])
+        @settings(max_examples=12, deadline=None, derandomize=True)
+        def check(matrix, rank, picks):
+            code, rows = run_json(["fix", f"--matrix={matrix}"])
+            assert code == 0
+            classes = [r["torsion_class"] for r in rows]
+            targets.write_text(json.dumps(
+                [{"class": classes[i % len(classes)], "count": 1}
+                 for i in picks]))
+            code, _ = run_json(["braid-make", f"--matrix={matrix}", "--rank",
+                                str(rank), "--targets", str(targets),
+                                "--out", braid])
+            if len(picks) > rank:
+                assert code == 1
+                return
+            assert code == 0
+            kind = _kind(matrix)
+            for command in ("newton", "check-identities"):
+                code, report = run_json([command, "--braid", braid, "--grid",
+                                         "8", "--slices", "8"])
+                if kind == "finite":
+                    assert code == 0, (matrix, rank, picks, report)
+                else:
+                    assert code == 1, (matrix, rank, picks, report)
+                    assert report["error"] == "periodicity_mismatch"
+                    assert f"f* is {kind}" in report["message"]
 
         check()

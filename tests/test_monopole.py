@@ -10,7 +10,8 @@ import pytest
 
 from adiabat import monopole
 from adiabat.braid import TorusBraid, braid_construct
-from adiabat.errors import LinearSolveFailure, PeriodicityMismatch
+from adiabat.errors import (Divergence, LinearSolveFailure,
+                            PeriodicityMismatch)
 from adiabat.monopole import (FORCING_MAX, GMRES_TOL, NEWTON_TOL, SeamGluing,
                               Tangent3D, adiabatic_config,
                               adiabatic_residual, assemble_adiabatic,
@@ -323,6 +324,14 @@ class TestIdentities:
         assert out["identity1"] < 1e-8
         assert out["identity2"] < 1e-7
 
+    def test_non_finite_residual_raises(self, Xi, monkeypatch):
+        """A NaN residual after a finite one is not read as 0."""
+        results = iter([(1e-9, 0.0, 0.0), (np.nan, 0.0, 0.0)])
+        monkeypatch.setattr(monopole, "_identity_residuals",
+                            lambda *args: next(results))
+        with pytest.raises(Divergence):
+            identity_check(Xi, samples=2)
+
 
 class TestNewton:
     def test_refine_converges_quadratically(self, Xi):
@@ -400,6 +409,21 @@ class TestTangent:
         assert xi.a.shape == z.a.shape
         assert xi.psi.shape == z.psi.shape
         assert z.sup() == 0.0
+        assert xi.sup() > 0.0
+
+    def test_coarse_grid_keeps_constant_tangents(self):
+        """At n = 8 an order-6 seam whose grid map spreads modes by 5
+        leaves no spatial band: the tangent is finite and spatially
+        constant."""
+        family = FlatBundleFamily.from_braid(
+            made_braid([[-2, -3], [1, 1]], 1, [([0, 0], 1)]))
+        curve = FlatCurve(invariant_modulus(family.mc.fstar.to_lists()), 8)
+        Xi = assemble_adiabatic(transported(curve, family, 0, 32), family, 8)
+        with np.errstate(all="raise"):
+            xi = random_tangent(Xi, np.random.default_rng(4))
+        for field in rows(xi):
+            assert np.all(np.isfinite(field))
+            assert np.allclose(field, field[..., :1, :1], atol=1e-14)
         assert xi.sup() > 0.0
 
     def test_ip3_positive(self, Xi):

@@ -12,9 +12,9 @@ from adiabat.braid import braid_construct, braid_permutation, braid_validate
 from adiabat.errors import AmbiguousMatch, SingularOperator
 from adiabat.topology import validate_mapping_class
 from adiabat.transport import (PsiOperator, VortexStack, apply_psi_operator,
-                               match_strands, numeric_monodromy, solve_psi,
-                               transport, transport_stack, transported,
-                               vortex_seed)
+                               aux_spinor, match_strands, numeric_monodromy,
+                               solve_psi, transport, transport_stack,
+                               transported, vortex_seed)
 from adiabat.vortexfield import (Dolbeault, FlatBundleFamily, FlatCurve,
                                  HolonomyPath, form_q, smooth_family,
                                  vortex_solve)
@@ -215,6 +215,80 @@ class TestSolvePsi:
                             counting)
         transported(FlatCurve(MU, 16), smooth_family(tau_profile), 0, 64)
         assert abs(len(products) - 4556) <= 0.02 * 4556
+
+
+def readme_family():
+    """The README braid: two constant strands over f* = -id."""
+    mc = validate_mapping_class(1, MINUS_ID)
+    b = braid_validate(braid_construct(mc, {(0, 1): 1, (1, 0): 1}, 2))
+    return FlatBundleFamily.from_braid(b, tau_bar=2.0)
+
+
+def moving_family():
+    """The -id braid with targets [0, 1] x 2: strand 0 is constant, strand
+    1 moves."""
+    mc = validate_mapping_class(1, MINUS_ID)
+    b = braid_validate(braid_construct(mc, {(0, 1): 2}, 2))
+    return FlatBundleFamily.from_braid(b, tau_bar=2.0)
+
+
+class TestStationary:
+    """Where the right-hand side c Phi vanishes, Psi = 0 with no solve."""
+
+    @pytest.mark.parametrize("make, strands", [(readme_family, (0, 1)),
+                                               (moving_family, (0,))])
+    def test_zero_rhs_builds_no_operator(self, monkeypatch, make, strands):
+        """(a) the README braid's two constant strands; (b) a K = 1 start
+        of the constant strand of a braid whose other strand moves: its
+        inactive summand is zero, so c Phi vanishes although c does not."""
+        curve = FlatCurve(MU, 8)
+        family = make()
+        stack = VortexStack.of([vortex_seed(curve, family, k)
+                                for k in strands])
+        t = 0.3
+        assert make is readme_family or family.velocities(t)[1].any()
+
+        def refuse(*args):
+            raise AssertionError("operator built for a zero right-hand side")
+
+        monkeypatch.setattr(adiabat.transport, "PsiOperator", refuse)
+        for times in (t, [t] * len(strands)):
+            Psi, dbar_adj_Psi = aux_spinor(stack, family, times)
+            for got in (Psi, dbar_adj_Psi):
+                assert got.shape == stack.Phi.shape
+                assert got.dtype == complex and not got.any()
+
+    def test_moving_strand_in_the_stack_is_solved(self, monkeypatch):
+        """A stack with one moving strand still goes through solve_psi."""
+        curve = FlatCurve(MU, 8)
+        family = moving_family()
+        stack = VortexStack.of([vortex_seed(curve, family, k)
+                                for k in range(2)])
+        calls = []
+        original = adiabat.transport.solve_psi
+
+        def counting(op, rhs):
+            calls.append(rhs.shape)
+            return original(op, rhs)
+
+        monkeypatch.setattr(adiabat.transport, "solve_psi", counting)
+        Psi, _ = aux_spinor(stack, family, 0.3)
+        assert calls == [stack.Phi.shape]
+        assert not Psi[0].any() and Psi[1].any()
+
+    def test_readme_braid_transport_is_stationary(self):
+        """Every state of the README braid's transport equals its start,
+        bit for bit."""
+        curve = FlatCurve(MU, 8)
+        family = readme_family()
+        starts = [vortex_seed(curve, family, k) for k in range(2)]
+        n_states = 0
+        for states in transport_stack(curve, family, starts, 8, 1e-6):
+            n_states += 1
+            for start, state in zip(starts, states):
+                assert np.array_equal(state.cfg.alpha, start.alpha)
+                assert np.array_equal(state.cfg.Phi, start.Phi)
+        assert n_states == 9
 
 
 class TestTransport:

@@ -145,6 +145,27 @@ class TestBatchedOperators:
         self.assert_matches(curve.spectral(stack, sym), self.slicewise(
             lambda f: curve.spectral(f, sym), stack))
 
+    def test_twisted_spectral_inverts_in_place(self, stack, monkeypatch):
+        """On a twisted (K, N, n, n) stack with (K, N, 2) twists the
+        multiplier equals numpy's ifft2 of the product, bit for bit, and
+        its inverse transform writes into the product it has just made."""
+        curve = FlatCurve(MU, self.n)
+        twists = np.random.default_rng(5).uniform(-0.5, 0.5,
+                                                  (self.M, self.N, 2))
+        sym = curve.lam(twists)
+        coef = sym * curve.to_modes(stack, twists)
+        want = np.fft.ifft2(coef, norm="forward") * curve.twist_phase(twists)
+        in_place = []
+        ifftn = np.fft.ifftn
+
+        def recording(a, *args, **kwargs):
+            in_place.append(kwargs.get("out") is a)
+            return ifftn(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "ifftn", recording)
+        assert np.array_equal(curve.spectral(stack, sym, twists), want)
+        assert in_place == [True]
+
     def test_d_scalar(self, stack):
         curve = FlatCurve(MU, self.n)
         self.assert_matches(d_scalar(curve, stack), self.slicewise(
@@ -312,6 +333,12 @@ class TestFamily:
         hol = fam.holonomies(0.5)
         want = np.array([[float(x) for x in b.eval(k, 0.5)] for k in range(2)])
         assert np.max(np.abs(wrap_twist(hol - want))) < 1e-12
+
+    def test_base_holonomies_evaluated_once(self):
+        fam = smooth_family()
+        base = fam.base_holonomies
+        assert np.array_equal(base, fam.holonomies(0.0))
+        assert fam.base_holonomies is base and not base.flags.writeable
 
     def test_velocities_match_finite_differences(self):
         path = smooth_family().paths[0]
