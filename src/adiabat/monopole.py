@@ -33,7 +33,7 @@ from scipy.sparse.linalg import LinearOperator, gmres
 
 from .errors import (Divergence, LinearSolveFailure, NonConvergence,
                      PeriodicityMismatch)
-from .transport import TransportTrace, VortexStack, aux_spinor, transported
+from .transport import TransportTrace, transported
 from .vortexfield import (Dolbeault, FlatBundleFamily, FlatCurve, _tau_grid,
                           d_scalar, d_star, form_pq, form_q, form_xy,
                           hodge_star, moment_map, save_field, star_d)
@@ -287,11 +287,10 @@ def assemble_adiabatic(trace: TransportTrace, family: FlatBundleFamily,
                        m: int, k0: Optional[int] = None) -> Config3D:
     """Build the adiabatic 3D configuration Xi_0 (V = 0, b = 0) from a trace.
 
-    The trace must contain states at the slice times i/m; Psi is recomputed
-    at the slices from the elliptic equation, all slices in one stacked
-    solve.  The t = 1 end state must
-    match the seam image of the t = 0 slice, otherwise the closing gauge
-    cannot be realized on the grid.
+    The trace must contain states at the slice times i/m; each slice takes
+    its configuration and its Psi from the state there.  The t = 1 end
+    state must match the seam image of the t = 0 slice, otherwise the
+    closing gauge cannot be realized on the grid.
     """
     if m < 1:
         raise ValueError("the number of t-slices must be at least 1")
@@ -305,28 +304,26 @@ def assemble_adiabatic(trace: TransportTrace, family: FlatBundleFamily,
     base = family.base_holonomies
     dev = np.empty((m, 2, n, n), complex)
     Phi = np.empty((m, N, n, n), complex)
+    Psi = np.empty((m, N, n, n), complex)
     cq = np.empty((m, N), complex)
     aref_dot = np.empty((m, 2))
     sigma_t = np.empty((m, 2))
-    ref = np.empty((m, 2))
-    ts = [i / m for i in range(m)]
-    for i, t in enumerate(ts):
+    for i in range(m):
+        t = i / m
         key = round(t * 1e7)
         if key not in states or abs(states[key].t - t) > 1e-9:
             raise PeriodicityMismatch(
                 "trace does not sample the slice times i/m", missing_t=t)
         cfg = states[key].cfg
         hol = family.holonomies(t)
-        ref[i] = -TWO_PI * (hol[k0] - base[k0])
-        dev[i] = cfg.alpha
+        ref = -TWO_PI * (hol[k0] - base[k0])
+        dev[i] = cfg.alpha - 1j * ref[:, None, None]
         Phi[i] = cfg.Phi
+        Psi[i] = states[key].psi
         da = (hol - base) - (hol[k0] - base[k0])
         cq[i] = 2j * math.pi * form_q(curve, da[:, 0], da[:, 1])
         aref_dot[i] = family.paths[k0].deriv(t)
         sigma_t[i] = family.sigma(t)
-    Psi = aux_spinor(VortexStack(curve, dev, Phi, twists), family, ts)[0]
-    # dev holds the slices' alpha until the Psi solve has read it
-    dev -= 1j * ref[:, :, None, None]
     Xi = Config3D(curve=curve, family=family, m=m, dev=dev, Phi=Phi,
                   V=np.zeros((m, n, n), complex),
                   b=np.zeros((m, n, n), complex), Psi=Psi, seam=seam,
@@ -425,10 +422,16 @@ def block_S(Xi: Config3D, a: np.ndarray, phi: np.ndarray):
 
 
 def block_Sstar(Xi: Config3D, c: np.ndarray, psi: np.ndarray):
+    return _Sstar_of(Xi, c, psi, Xi.dbar.adjoint(psi))
+
+
+def _Sstar_of(Xi: Config3D, c: np.ndarray, psi: np.ndarray,
+              dbar_adj_psi: np.ndarray):
+    """S* (c, psi), given dbar* psi."""
     eta = _pair01(psi, Xi.Phi)
     a = -hodge_star(Xi.curve, d_scalar(Xi.curve, c)) \
         - 1j * _im_form01(Xi.curve, eta)
-    phi = 1j * c[:, None] * Xi.Phi - Xi.dbar.adjoint(psi)
+    phi = 1j * c[:, None] * Xi.Phi - dbar_adj_psi
     return a, phi
 
 
@@ -444,9 +447,14 @@ def block_Lstar(Xi: Config3D, c: np.ndarray, psi: np.ndarray) -> np.ndarray:
 
 
 def block_M(Xi: Config3D, c: np.ndarray, psi: np.ndarray):
+    return _M_of(Xi, c, psi, _grad_t_section(Xi, psi, "form01"))
+
+
+def _M_of(Xi: Config3D, c: np.ndarray, psi: np.ndarray,
+          grad_t_psi: np.ndarray):
+    """M (c, psi), given grad_t psi."""
     oc = 1j * Xi.curve.form_weight * np.real(_pair01(Xi.Psi, psi))
-    return oc, -1j * c[:, None] * Xi.Psi \
-        - 1j * _grad_t_section(Xi, psi, "form01")
+    return oc, -1j * c[:, None] * Xi.Psi - 1j * grad_t_psi
 
 
 def block_N(Xi: Config3D, a: np.ndarray, phi: np.ndarray):
@@ -880,12 +888,13 @@ def _identity_residuals(Xi: Config3D, xi: Tangent3D, gPsi: np.ndarray,
 
     Each block value is an (m, 2, n, n) or (m, N, n, n) stack; the sums
     are formed in place and the names reused, so that few stacks are alive
-    at once.
+    at once.  grad_t psi and dbar* psi are formed once each.
     """
     curve = Xi.curve
     w = curve.form_weight
     # identity0
-    M = block_M(Xi, xi.c, xi.psi)
+    grad_t_psi = _grad_t_section(Xi, xi.psi, "form01")
+    M = _M_of(Xi, xi.c, xi.psi, grad_t_psi)
     id0 = float(np.max(np.abs(block_Lstar(Xi, *M)
                               - 1j * w * np.real(_pair01(gPsi, xi.psi)))))
     # identity1: N G v + S* L v = 0
@@ -894,8 +903,15 @@ def _identity_residuals(Xi: Config3D, xi: Tangent3D, gPsi: np.ndarray,
     lhs_a += a
     lhs_phi += phi
     id1 = max(float(np.max(np.abs(lhs_a))), float(np.max(np.abs(lhs_phi))))
-    # identity2: N S* y + G L* y + S* M y = R_Xi y
-    lhs_a, lhs_phi = block_N(Xi, *block_Sstar(Xi, xi.c, xi.psi))
+    # identity2: N S* y + G L* y + S* M y = R_Xi y; the [grad_t, dbar*] psi
+    # term of R_Xi y is formed with S* y, from grad_t psi and dbar* psi
+    dbar_adj_psi = Xi.dbar.adjoint(xi.psi)
+    a, phi = _Sstar_of(Xi, xi.c, xi.psi, dbar_adj_psi)
+    commutator = _grad_t_section(Xi, dbar_adj_psi, "section")
+    del dbar_adj_psi
+    commutator -= Xi.dbar.adjoint(grad_t_psi)
+    del grad_t_psi
+    lhs_a, lhs_phi = block_N(Xi, a, phi)
     a, phi = block_G(Xi, block_Lstar(Xi, xi.c, xi.psi))
     lhs_a += a
     lhs_phi += phi
@@ -912,9 +928,7 @@ def _identity_residuals(Xi: Config3D, xi: Tangent3D, gPsi: np.ndarray,
     eta2 = np.conj(_pair01(xi.psi, Xi.Phi))[:, None]
     r_phi = (-2.0 * gPhi + 1j * Xi.V[:, None] * Xi.Phi) * xi.c[:, None] \
         - w * eta1 * Xi.Phi + 0.5 * w * eta2 * Xi.Psi
-    gdbar = _grad_t_section(Xi, Xi.dbar.adjoint(xi.psi), "section")
-    dbarg = Xi.dbar.adjoint(_grad_t_section(Xi, xi.psi, "form01"))
-    r_phi += -1j * (gdbar - dbarg)
+    r_phi += -1j * commutator
     id2 = max(float(np.max(np.abs(lhs_a - r_a))),
               float(np.max(np.abs(lhs_phi - r_phi))))
     return id0, id1, id2

@@ -27,7 +27,13 @@ together (the strands of a braid; a single start is K = 1): each RK stage
 solves the K Psi equations with one call of the shared batched conjugate
 gradients ``vortexfield.pcg``, and only the starts whose step fails the
 residual test are redone in halves, so every start takes the steps it
-would take alone.  Monodromy matching uses the gauge-invariant holonomy.
+would take alone.  Each Psi equation is solved once: the velocities at a
+new state give the Psi the trace records for it and are the next step's
+first stage.  Where the solve at t = 0 iterates, every later solve starts
+warm, from the solution of the stage before it; where it converges in one
+product (an exact preconditioner, as with constant |Phi|^2) every solve
+starts cold, since a start costs one product.  Monodromy matching uses the
+gauge-invariant holonomy.
 """
 
 from __future__ import annotations
@@ -35,7 +41,8 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
-from typing import Iterable, Iterator, List, Sequence, Tuple
+from typing import (Iterable, Iterator, List, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 import numpy as np
 
@@ -58,8 +65,7 @@ class VortexStack:
     """Configurations of one family on one curve, stacked on axis 0.
 
     ``alpha`` is (K, 2, n, n), the components (alpha_x, alpha_y); ``Phi`` is
-    (K, N, n, n); ``twists`` is (K, N, 2), or (N, 2) when the
-    configurations share their twists.
+    (K, N, n, n); ``twists`` is (K, N, 2).
     """
 
     curve: FlatCurve
@@ -81,8 +87,8 @@ class VortexStack:
 
 class PsiOperator:
     """dbar_beta dbar_beta* + (1/2) <., Phi> Phi for each configuration of a
-    stack, beta being alpha plus the flat deviations ``q_dev``: (N,) shared
-    by the stack, or (K, N), acting on untwisted Fourier modes.
+    stack, beta being alpha plus the flat deviations ``q_dev`` (N,) shared
+    by the stack, acting on untwisted Fourier modes.
 
     A twisted section Psi = e Psi~, e the twist phase of its component and
     Psi~ periodic, is carried by the modes psi^ = F(Psi~).  In that frame
@@ -97,12 +103,13 @@ class PsiOperator:
 
     The Dolbeault operator ``dbar`` holds lam, w conj(lam), q and w conj(q);
     it, the preconditioner and the (2, K, N, n, n) work array are built
-    once and serve every product of a solve.
+    once and serve every product of a solve.  ``products`` counts the
+    products made.
     """
 
     def __init__(self, stack: VortexStack, q_dev):
         curve = stack.curve
-        q_dev = np.asarray(q_dev)[..., None, None]
+        q_dev = np.asarray(q_dev)[:, None, None]
         q_alpha = form_q(curve, stack.alpha[:, 0], stack.alpha[:, 1])
         self.dbar = Dolbeault(curve, stack.twists, q_alpha[:, None] + q_dev)
         self.phase = curve.twist_phase(stack.twists)
@@ -115,6 +122,7 @@ class PsiOperator:
                           * np.abs(self.dbar.lam + q_dev) ** 2
                           + shift[:, None, None, None])
         self.work = np.empty((2,) + stack.Phi.shape, complex)
+        self.products = 0
 
     def precondition(self, r: np.ndarray) -> np.ndarray:
         return self.inv * r
@@ -135,6 +143,7 @@ def _untwisted(op: PsiOperator, psi_hat: np.ndarray) -> np.ndarray:
 def apply_psi_operator(op: PsiOperator, psi_hat: np.ndarray) -> np.ndarray:
     """The modes of dbar dbar* Psi + (1/2) <Psi, Phi> Phi, untwisted, from
     those of Psi: one inverse and one forward transform."""
+    op.products += 1
     work = _untwisted(op, psi_hat)
     pair = np.sum(work[0] * op.Phi_conj, axis=-3)
     np.multiply(op.dbar.q, work[1], out=work[0])
@@ -145,10 +154,12 @@ def apply_psi_operator(op: PsiOperator, psi_hat: np.ndarray) -> np.ndarray:
     return out
 
 
-def solve_psi(op: PsiOperator, rhs: np.ndarray):
-    """(Psi, dbar_beta* Psi): the Psi equation with right-hand side ``rhs``
-    solved for every system of the stack by ``pcg`` in the untwisted modes,
-    to the relative residual ``PSI_RTOL``.  The twist phases are removed
+def solve_psi(op: PsiOperator, rhs: np.ndarray,
+              start: Optional[np.ndarray] = None):
+    """(Psi, dbar_beta* Psi, psi^): the Psi equation with right-hand side
+    ``rhs`` solved for every system of the stack by ``pcg`` in the
+    untwisted modes psi^, to the relative residual ``PSI_RTOL``, starting
+    from the modes ``start`` or from zero.  The twist phases are removed
     from ``rhs`` and restored on the solution.  The operator is Hermitian
     positive definite at regular parameters (Phi not identically zero); a
     solve that breaks down or stalls raises SingularOperator."""
@@ -156,12 +167,12 @@ def solve_psi(op: PsiOperator, rhs: np.ndarray):
     try:
         psi_hat = pcg(lambda p: apply_psi_operator(op, p), op.precondition,
                       dbar.curve.to_modes(rhs, dbar.twists), PSI_RTOL,
-                      PSI_MAXITER)
+                      PSI_MAXITER, start)
     except NonConvergence as exc:
         raise SingularOperator(f"auxiliary spinor {exc} (wall or irregular "
                                "parameter)", **exc.detail) from exc
     Psi, u = _untwisted(op, psi_hat)
-    return op.phase * Psi, op.phase * u
+    return op.phase * Psi, op.phase * u, psi_hat
 
 
 def _rhs_coefficients(curve: FlatCurve, family: FlatBundleFamily, t: float):
@@ -180,37 +191,56 @@ def _deviation(curve: FlatCurve, family: FlatBundleFamily, t: float):
     return 2j * math.pi * form_q(curve, da[:, 0], da[:, 1])
 
 
-def aux_spinor(stack: VortexStack, family: FlatBundleFamily, t):
-    """(Psi, dbar_beta* Psi): the auxiliary spinor of the stack at time t,
-    solving the Psi equation there, and its image under dbar_beta*.
+def aux_spinor(stack: VortexStack, family: FlatBundleFamily, t: float,
+               start: Optional[np.ndarray] = None):
+    """(Psi, dbar_beta* Psi, modes): the auxiliary spinor of the stack at
+    time t, solving the Psi equation there, its image under dbar_beta*,
+    and the start for the solve of a nearby equation.
 
-    ``t`` is one time shared by the stack, or a sequence of K times, one per
-    configuration (the t-slices of an assembly).  Where the right-hand side
-    vanishes on the whole stack (constant strands with sigma = 0, or a seed
-    whose active strand is constant) the solution is Psi = 0, and no
-    operator is built.
+    The conjugate gradients start from ``start``, untwisted modes as
+    ``modes`` are, or from zero.  ``modes`` is the solution's untwisted
+    modes, except after a cold solve that converged in one product: there
+    the preconditioner is exact, a start would cost more than it saves,
+    and ``modes`` is None.  Where the right-hand side vanishes on the whole
+    stack (constant strands with sigma = 0, or a seed whose active strand
+    is constant) the solution is Psi = 0, no operator is built, and
+    ``start`` is handed on.
     """
-    def at_t(coefficients):
-        if np.ndim(t) == 0:
-            return coefficients(stack.curve, family, t)
-        return np.stack([coefficients(stack.curve, family, s) for s in t])
-
-    rhs = at_t(_rhs_coefficients)[..., None, None] * stack.Phi
+    curve = stack.curve
+    rhs = _rhs_coefficients(curve, family, t)[:, None, None] * stack.Phi
     if not rhs.any():
-        return np.zeros_like(stack.Phi), np.zeros_like(stack.Phi)
-    return solve_psi(PsiOperator(stack, at_t(_deviation)), rhs)
+        return np.zeros_like(stack.Phi), np.zeros_like(stack.Phi), start
+    op = PsiOperator(stack, _deviation(curve, family, t))
+    Psi, dbar_adj_Psi, modes = solve_psi(op, rhs, start)
+    if start is None and op.products == 1:
+        modes = None
+    return Psi, dbar_adj_Psi, modes
 
 
-def _velocities(stack: VortexStack, family: FlatBundleFamily, t: float):
-    """(alpha_dot, Phi_dot) of the parallel-transport ODE at time t."""
-    Psi, dbar_adj_Psi = aux_spinor(stack, family, t)
+class _Velocity(NamedTuple):
+    """The parallel-transport velocities (alpha_dot, Phi_dot) at a state,
+    the state's Psi, and the ``modes`` that ``aux_spinor`` hands on."""
+    alpha: np.ndarray
+    Phi: np.ndarray
+    Psi: np.ndarray
+    modes: Optional[np.ndarray]
+
+    def rows(self, idx: np.ndarray) -> "_Velocity":
+        return _Velocity(self.alpha[idx], self.Phi[idx], self.Psi[idx],
+                         None if self.modes is None else self.modes[idx])
+
+
+def _velocities(stack: VortexStack, family: FlatBundleFamily, t: float,
+                start: Optional[np.ndarray] = None) -> _Velocity:
+    """The velocities of the parallel-transport ODE at time t, their Psi
+    equation solved from ``start``."""
+    Psi, dbar_adj_Psi, modes = aux_spinor(stack, family, t, start)
     sigma = np.asarray(family.sigma(t), float)
-    Phi_dot = -1j * dbar_adj_Psi
     eta = np.sum(Psi * np.conj(stack.Phi), axis=-3)
     alpha_dot = -1j * np.stack(
         [np.real(eta) - sigma[0],
          np.real(eta * np.conj(stack.curve.modulus)) - sigma[1]], axis=1)
-    return alpha_dot, Phi_dot
+    return _Velocity(alpha_dot, -1j * dbar_adj_Psi, Psi, modes)
 
 
 # ---------------------------------------------------------------------------
@@ -219,9 +249,13 @@ def _velocities(stack: VortexStack, family: FlatBundleFamily, t: float):
 
 @dataclass
 class TransportState:
+    """A configuration of the trace, its moment residual and its auxiliary
+    spinor ``psi`` (N, n, n), which solves the Psi equation at time t."""
+
     t: float
     cfg: VortexConfig
     moment_residual: float
+    psi: np.ndarray
 
     @property
     def holonomy(self) -> np.ndarray:
@@ -260,33 +294,41 @@ class TransportTrace:
         return "\n".join(lines) + "\n"
 
 
-def _rk4_step(stack: VortexStack, family: FlatBundleFamily, t: float,
-              h: float) -> VortexStack:
+def _rk4_step(stack: VortexStack, k1: _Velocity, family: FlatBundleFamily,
+              t: float, h: float, warm: bool):
+    """One RK4 step from the velocities k1 at its start, and the CG start
+    for the next step's k1 (None if not ``warm``).  With ``warm`` each
+    stage's Psi solve starts from the previous stage's solution."""
     def shifted(dalpha, dPhi, scale):
         return replace(stack, alpha=stack.alpha + scale * dalpha,
                        Phi=stack.Phi + scale * dPhi)
 
-    k1a, k1p = _velocities(stack, family, t)
-    k2a, k2p = _velocities(shifted(k1a, k1p, h / 2), family, t + h / 2)
-    k3a, k3p = _velocities(shifted(k2a, k2p, h / 2), family, t + h / 2)
+    def stage(k: _Velocity, scale: float, s: float) -> _Velocity:
+        return _velocities(shifted(k.alpha, k.Phi, scale), family, s,
+                           k.modes if warm else None)
+
+    k2 = stage(k1, h / 2, t + h / 2)
+    k3 = stage(k2, h / 2, t + h / 2)
     # query the last stage just inside the step: at a breakpoint t + h the
     # piecewise-linear velocity jumps to the next segment's slope
-    k4a, k4p = _velocities(shifted(k3a, k3p, h), family,
-                           t + (1.0 - 1e-9) * h)
-    return shifted(k1a + 2 * k2a + 2 * k3a + k4a,
-                   k1p + 2 * k2p + 2 * k3p + k4p, h / 6)
+    k4 = stage(k3, h, t + (1.0 - 1e-9) * h)
+    out = shifted(k1.alpha + 2 * k2.alpha + 2 * k3.alpha + k4.alpha,
+                  k1.Phi + 2 * k2.Phi + 2 * k3.Phi + k4.Phi, h / 6)
+    return out, k4.modes if warm else None
 
 
-def _advance(stack: VortexStack, family: FlatBundleFamily,
+def _advance(stack: VortexStack, k1: _Velocity, family: FlatBundleFamily,
              tau_grid: np.ndarray, t: float, h: float, tol: float,
-             depth: int = 0) -> Tuple[VortexStack, np.ndarray]:
-    """One accepted step of size h and the moment residuals after it; the
-    configurations whose residual exceeds ``tol`` are redone in halves."""
-    out = _rk4_step(stack, family, t, h)
+             warm: bool, depth: int = 0):
+    """One accepted step of size h from the velocities k1 at its start: the
+    new stack, its moment residuals and the CG start for its velocities.
+    The configurations whose residual exceeds ``tol`` are redone in halves,
+    the first from the rows of k1."""
+    out, start = _rk4_step(stack, k1, family, t, h, warm)
     res = moment_residuals(out.curve, out.alpha, out.Phi, tau_grid)
     bad = np.flatnonzero(~(res <= tol))
     if bad.size == 0:
-        return out, res
+        return out, res, start
     if depth >= 6:
         raise TrackingLoss(
             "moment residual exceeds tolerance after 6 step halvings "
@@ -294,13 +336,17 @@ def _advance(stack: VortexStack, family: FlatBundleFamily,
             residual=float(np.max(res[bad])))
     sub = replace(stack, alpha=stack.alpha[bad], Phi=stack.Phi[bad],
                   twists=stack.twists[bad])
-    mid, _ = _advance(sub, family, tau_grid, t, h / 2, tol, depth + 1)
-    end, end_res = _advance(mid, family, tau_grid, t + h / 2, h / 2, tol,
-                            depth + 1)
+    mid, _, mid_start = _advance(sub, k1.rows(bad), family, tau_grid, t,
+                                 h / 2, tol, warm, depth + 1)
+    end, end_res, end_start = _advance(
+        mid, _velocities(mid, family, t + h / 2, mid_start), family,
+        tau_grid, t + h / 2, h / 2, tol, warm, depth + 1)
     out.alpha[bad] = end.alpha
     out.Phi[bad] = end.Phi
     res[bad] = end_res
-    return out, res
+    if warm:
+        start[bad] = end_start
+    return out, res, start
 
 
 def _check_steps(steps: int) -> None:
@@ -309,9 +355,10 @@ def _check_steps(steps: int) -> None:
 
 
 def _states(starts: Sequence[VortexConfig], t: float, stack: VortexStack,
-            res: np.ndarray) -> List[TransportState]:
+            res: np.ndarray, Psi: np.ndarray) -> List[TransportState]:
     return [TransportState(t, replace(s, alpha=stack.alpha[k],
-                                      Phi=stack.Phi[k]), float(res[k]))
+                                      Phi=stack.Phi[k]), float(res[k]),
+                           Psi[k])
             for k, s in enumerate(starts)]
 
 
@@ -323,7 +370,10 @@ def transport_stack(curve: FlatCurve, family: FlatBundleFamily,
     step.
 
     Substeps are aligned with the family's breakpoints so piecewise-linear
-    holonomy paths are integrated segment by segment with smooth data.
+    holonomy paths are integrated segment by segment with smooth data.  The
+    velocities at each new state are evaluated once: they give the state's
+    ``psi`` and are the next step's k1.  At a breakpoint they are those of
+    the next segment, evaluated at its start time.
     """
     _check_steps(steps)
     if not tol > 0:
@@ -334,15 +384,21 @@ def transport_stack(curve: FlatCurve, family: FlatBundleFamily,
     if not np.all(res <= tol):
         raise TrackingLoss("start configuration violates the moment map",
                            residual=float(np.max(res)))
-    yield _states(starts, 0.0, stack, res)
+    k1 = _velocities(stack, family, 0.0)
+    # the t = 0 solve decides for the whole transport whether the stages
+    # start warm: only where it iterated is a start worth its product
+    warm = k1.modes is not None
+    yield _states(starts, 0.0, stack, res, k1.Psi)
     breaks = family.breaks()
     for t0, t1 in zip(breaks, breaks[1:]):
         sub = max(1, math.ceil(steps * (t1 - t0) - 1e-12))
         h = (t1 - t0) / sub
         for i in range(sub):
-            stack, res = _advance(stack, family, tau_grid, t0 + i * h, h,
-                                  tol)
-            yield _states(starts, t0 + (i + 1) * h, stack, res)
+            stack, res, start = _advance(stack, k1, family, tau_grid,
+                                         t0 + i * h, h, tol, warm)
+            t = t1 if i == sub - 1 else t0 + (i + 1) * h
+            k1 = _velocities(stack, family, t, start)
+            yield _states(starts, t, stack, res, k1.Psi)
 
 
 def transport(curve: FlatCurve, family: FlatBundleFamily,

@@ -555,22 +555,29 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def pcg(apply: Callable, precondition: Callable, rhs: np.ndarray,
-        rtol: float, maxiter: int) -> np.ndarray:
+        rtol: float, maxiter: int,
+        start: Optional[np.ndarray] = None) -> np.ndarray:
     """Preconditioned conjugate gradients on a stack of Hermitian positive
     definite systems, one per index of axis 0 of ``rhs`` (any trailing
-    shape); ``apply`` and ``precondition`` act on the whole stack.  Each
+    shape); ``apply`` and ``precondition`` act on the whole stack, and
+    ``precondition`` returns a new array, which is updated in place.  Each
     system has its own step lengths and stops once its residual norm is
     below ``rtol`` times that of its right-hand side (scipy's ``cg`` rule);
-    a zero right-hand side gives zero.  A breakdown (non-finite residual) or
-    ``maxiter`` iterations without convergence raise NonConvergence."""
-    x = np.zeros_like(rhs)
-    r = rhs.copy()
+    a zero right-hand side gives exactly zero.  The iteration starts from
+    ``start`` if given, whose residual costs one product, and from zero
+    otherwise.  A breakdown (non-finite residual) or ``maxiter``
+    iterations without convergence raise NonConvergence."""
     per_system = (-1,) + (1,) * (rhs.ndim - 1)
     p = rho_prev = None
     # an overflow or a zero division shows as a non-finite residual, which
     # raises below; numpy's warning for it would be a second report
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         bound = rtol * np.sqrt(_dot(rhs, rhs).real)
+        if start is None:
+            x, r = None, rhs.copy()
+        else:
+            x = np.where((bound > 0).reshape(per_system), start, 0)
+            r = rhs - apply(x)
         for _ in range(maxiter):
             res = np.sqrt(_dot(r, r).real)
             if not np.all(np.isfinite(res)):
@@ -578,17 +585,27 @@ def pcg(apply: Callable, precondition: Callable, rhs: np.ndarray,
                                      residuals=res.tolist())
             active = (res >= bound) & (bound > 0)
             if not active.any():
-                return x
+                return np.zeros_like(rhs) if x is None else x
+            masked = not active.all()
             z = precondition(r)
             rho = _dot(r, z)
             if p is None:
                 p = z
             else:
-                beta = np.where(active, rho / rho_prev, 0.0)
-                p = z + beta.reshape(per_system) * p
+                beta = rho / rho_prev
+                if masked:
+                    beta = np.where(active, beta, 0.0)
+                p *= beta.reshape(per_system)
+                p += z
             q = apply(p)
-            step = np.where(active, rho / _dot(p, q), 0.0).reshape(per_system)
-            x += step * p
+            step = rho / _dot(p, q)
+            if masked:
+                step = np.where(active, step, 0.0)
+            step = step.reshape(per_system)
+            if x is None:
+                x = step * p
+            else:
+                x += step * p
             r -= step * q
             rho_prev = rho
     raise NonConvergence("conjugate-gradient solve stalled", maxiter=maxiter,
