@@ -27,12 +27,13 @@ together (the strands of a braid; a single start is K = 1): each RK stage
 solves the K Psi equations with one call of the shared batched conjugate
 gradients ``vortexfield.pcg``, and only the starts whose step fails the
 residual test are redone in halves, so every start takes the steps it
-would take alone.  Each Psi equation is solved once: the velocities at a
-new state give the Psi the trace records for it and are the next step's
-first stage.  Where the solve at t = 0 iterates, every later solve starts
-warm, from the solution of the stage before it; where it converges in one
-product (an exact preconditioner, as with constant |Phi|^2) every solve
-starts cold, since a start costs one product.  Monodromy matching uses the
+would take alone.  Each Psi equation is solved once, from zero: the
+velocities at a new state give the Psi the trace records for it and are
+the next step's first stage.  The preconditioner inverts the symbol of the
+operator's constant-coefficient part: the flat symbol plus the flat
+deviation plus the mean of alpha's dzbar coefficient, which drifts in the
+b = 0 gauge, and the mean density shift.  So a solve late in a transport
+takes as many products as one at t = 0.  Monodromy matching uses the
 gauge-invariant holonomy.
 """
 
@@ -41,8 +42,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
-from typing import (Iterable, Iterator, List, NamedTuple, Optional,
-                    Sequence, Tuple)
+from typing import Iterable, Iterator, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -96,15 +96,17 @@ class PsiOperator:
     pointwise q, and |e| = 1 gives <Psi, Phi> = sum_j Psi~_j conj(Phi~_j).
     So one product is an inverse 2D transform of the pair [psi^, w conj(lam)
     psi^], giving Psi~ and u~ = e^-1 dbar_beta* Psi, and a forward one of
-    [u~, q u~ + (1/2) <Psi~, Phi~> Phi~]; the preconditioner multiplies by
-    the inverse of the flat-part symbol plus the mean density shift.  The
-    transform scales every vector alike, so the conjugate-gradient stopping
-    rule and iterations are those of the twisted frame.
+    [u~, q u~ + (1/2) <Psi~, Phi~> Phi~].  The preconditioner multiplies
+    by the inverse of w |lam + q_dev + mean q_alpha|^2 + (1/2) mean |Phi|^2:
+    the symbol of the operator's constant-coefficient part, with q_alpha
+    the dzbar coefficient of alpha, whose mean drifts as the transport
+    runs in the b = 0 gauge.  The transform scales every vector alike, so
+    the conjugate-gradient stopping rule and iterations are those of the
+    twisted frame.
 
     The Dolbeault operator ``dbar`` holds lam, w conj(lam), q and w conj(q);
     it, the preconditioner and the (2, K, N, n, n) work array are built
-    once and serve every product of a solve.  ``products`` counts the
-    products made.
+    once and serve every product of a solve.
     """
 
     def __init__(self, stack: VortexStack, q_dev):
@@ -112,6 +114,7 @@ class PsiOperator:
         q_dev = np.asarray(q_dev)[:, None, None]
         q_alpha = form_q(curve, stack.alpha[:, 0], stack.alpha[:, 1])
         self.dbar = Dolbeault(curve, stack.twists, q_alpha[:, None] + q_dev)
+        q_mean = np.mean(q_alpha, axis=(-2, -1))[:, None, None, None]
         self.phase = curve.twist_phase(stack.twists)
         # conj(Phi~) and (1/2) Phi~, Phi~ = Phi / e
         self.Phi_conj = np.conj(stack.Phi) * self.phase
@@ -119,10 +122,9 @@ class PsiOperator:
         dens = np.sum(np.abs(stack.Phi) ** 2, axis=-3)
         shift = 0.5 * np.mean(dens, axis=(-2, -1)) + 1e-12
         self.inv = 1.0 / (curve.form_weight
-                          * np.abs(self.dbar.lam + q_dev) ** 2
+                          * np.abs(self.dbar.lam + q_dev + q_mean) ** 2
                           + shift[:, None, None, None])
         self.work = np.empty((2,) + stack.Phi.shape, complex)
-        self.products = 0
 
     def precondition(self, r: np.ndarray) -> np.ndarray:
         return self.inv * r
@@ -143,7 +145,6 @@ def _untwisted(op: PsiOperator, psi_hat: np.ndarray) -> np.ndarray:
 def apply_psi_operator(op: PsiOperator, psi_hat: np.ndarray) -> np.ndarray:
     """The modes of dbar dbar* Psi + (1/2) <Psi, Phi> Phi, untwisted, from
     those of Psi: one inverse and one forward transform."""
-    op.products += 1
     work = _untwisted(op, psi_hat)
     pair = np.sum(work[0] * op.Phi_conj, axis=-3)
     np.multiply(op.dbar.q, work[1], out=work[0])
@@ -154,25 +155,24 @@ def apply_psi_operator(op: PsiOperator, psi_hat: np.ndarray) -> np.ndarray:
     return out
 
 
-def solve_psi(op: PsiOperator, rhs: np.ndarray,
-              start: Optional[np.ndarray] = None):
-    """(Psi, dbar_beta* Psi, psi^): the Psi equation with right-hand side
-    ``rhs`` solved for every system of the stack by ``pcg`` in the
-    untwisted modes psi^, to the relative residual ``PSI_RTOL``, starting
-    from the modes ``start`` or from zero.  The twist phases are removed
-    from ``rhs`` and restored on the solution.  The operator is Hermitian
-    positive definite at regular parameters (Phi not identically zero); a
-    solve that breaks down or stalls raises SingularOperator."""
+def solve_psi(op: PsiOperator, rhs: np.ndarray):
+    """(Psi, dbar_beta* Psi): the Psi equation with right-hand side ``rhs``
+    solved for every system of the stack by ``pcg`` in the untwisted modes
+    psi^, from zero, to the relative residual ``PSI_RTOL``.  The twist
+    phases are removed from ``rhs`` and restored on the solution.  The
+    operator is Hermitian positive definite at regular parameters (Phi not
+    identically zero); a solve that breaks down or stalls raises
+    SingularOperator."""
     dbar = op.dbar
     try:
         psi_hat = pcg(lambda p: apply_psi_operator(op, p), op.precondition,
                       dbar.curve.to_modes(rhs, dbar.twists), PSI_RTOL,
-                      PSI_MAXITER, start)
+                      PSI_MAXITER)
     except NonConvergence as exc:
         raise SingularOperator(f"auxiliary spinor {exc} (wall or irregular "
                                "parameter)", **exc.detail) from exc
     Psi, u = _untwisted(op, psi_hat)
-    return op.phase * Psi, op.phase * u, psi_hat
+    return op.phase * Psi, op.phase * u
 
 
 def _rhs_coefficients(curve: FlatCurve, family: FlatBundleFamily, t: float):
@@ -191,56 +191,42 @@ def _deviation(curve: FlatCurve, family: FlatBundleFamily, t: float):
     return 2j * math.pi * form_q(curve, da[:, 0], da[:, 1])
 
 
-def aux_spinor(stack: VortexStack, family: FlatBundleFamily, t: float,
-               start: Optional[np.ndarray] = None):
-    """(Psi, dbar_beta* Psi, modes): the auxiliary spinor of the stack at
-    time t, solving the Psi equation there, its image under dbar_beta*,
-    and the start for the solve of a nearby equation.
+def aux_spinor(stack: VortexStack, family: FlatBundleFamily, t: float):
+    """(Psi, dbar_beta* Psi): the auxiliary spinor of the stack at time t,
+    solving the Psi equation there, and its image under dbar_beta*.
 
-    The conjugate gradients start from ``start``, untwisted modes as
-    ``modes`` are, or from zero.  ``modes`` is the solution's untwisted
-    modes, except after a cold solve that converged in one product: there
-    the preconditioner is exact, a start would cost more than it saves,
-    and ``modes`` is None.  Where the right-hand side vanishes on the whole
-    stack (constant strands with sigma = 0, or a seed whose active strand
-    is constant) the solution is Psi = 0, no operator is built, and
-    ``start`` is handed on.
+    Where the right-hand side vanishes on the whole stack (constant strands
+    with sigma = 0, or a seed whose active strand is constant) the solution
+    is Psi = 0 and no operator is built.
     """
     curve = stack.curve
     rhs = _rhs_coefficients(curve, family, t)[:, None, None] * stack.Phi
     if not rhs.any():
-        return np.zeros_like(stack.Phi), np.zeros_like(stack.Phi), start
-    op = PsiOperator(stack, _deviation(curve, family, t))
-    Psi, dbar_adj_Psi, modes = solve_psi(op, rhs, start)
-    if start is None and op.products == 1:
-        modes = None
-    return Psi, dbar_adj_Psi, modes
+        return np.zeros_like(stack.Phi), np.zeros_like(stack.Phi)
+    return solve_psi(PsiOperator(stack, _deviation(curve, family, t)), rhs)
 
 
 class _Velocity(NamedTuple):
-    """The parallel-transport velocities (alpha_dot, Phi_dot) at a state,
-    the state's Psi, and the ``modes`` that ``aux_spinor`` hands on."""
+    """The parallel-transport velocities (alpha_dot, Phi_dot) at a state
+    and the state's Psi."""
     alpha: np.ndarray
     Phi: np.ndarray
     Psi: np.ndarray
-    modes: Optional[np.ndarray]
 
     def rows(self, idx: np.ndarray) -> "_Velocity":
-        return _Velocity(self.alpha[idx], self.Phi[idx], self.Psi[idx],
-                         None if self.modes is None else self.modes[idx])
+        return _Velocity(self.alpha[idx], self.Phi[idx], self.Psi[idx])
 
 
-def _velocities(stack: VortexStack, family: FlatBundleFamily, t: float,
-                start: Optional[np.ndarray] = None) -> _Velocity:
-    """The velocities of the parallel-transport ODE at time t, their Psi
-    equation solved from ``start``."""
-    Psi, dbar_adj_Psi, modes = aux_spinor(stack, family, t, start)
+def _velocities(stack: VortexStack, family: FlatBundleFamily,
+                t: float) -> _Velocity:
+    """The velocities of the parallel-transport ODE at time t."""
+    Psi, dbar_adj_Psi = aux_spinor(stack, family, t)
     sigma = np.asarray(family.sigma(t), float)
     eta = np.sum(Psi * np.conj(stack.Phi), axis=-3)
     alpha_dot = -1j * np.stack(
         [np.real(eta) - sigma[0],
          np.real(eta * np.conj(stack.curve.modulus)) - sigma[1]], axis=1)
-    return _Velocity(alpha_dot, -1j * dbar_adj_Psi, Psi, modes)
+    return _Velocity(alpha_dot, -1j * dbar_adj_Psi, Psi)
 
 
 # ---------------------------------------------------------------------------
@@ -295,40 +281,35 @@ class TransportTrace:
 
 
 def _rk4_step(stack: VortexStack, k1: _Velocity, family: FlatBundleFamily,
-              t: float, h: float, warm: bool):
-    """One RK4 step from the velocities k1 at its start, and the CG start
-    for the next step's k1 (None if not ``warm``).  With ``warm`` each
-    stage's Psi solve starts from the previous stage's solution."""
+              t: float, h: float) -> VortexStack:
+    """One RK4 step from the velocities k1 at its start."""
     def shifted(dalpha, dPhi, scale):
         return replace(stack, alpha=stack.alpha + scale * dalpha,
                        Phi=stack.Phi + scale * dPhi)
 
     def stage(k: _Velocity, scale: float, s: float) -> _Velocity:
-        return _velocities(shifted(k.alpha, k.Phi, scale), family, s,
-                           k.modes if warm else None)
+        return _velocities(shifted(k.alpha, k.Phi, scale), family, s)
 
     k2 = stage(k1, h / 2, t + h / 2)
     k3 = stage(k2, h / 2, t + h / 2)
     # query the last stage just inside the step: at a breakpoint t + h the
     # piecewise-linear velocity jumps to the next segment's slope
     k4 = stage(k3, h, t + (1.0 - 1e-9) * h)
-    out = shifted(k1.alpha + 2 * k2.alpha + 2 * k3.alpha + k4.alpha,
-                  k1.Phi + 2 * k2.Phi + 2 * k3.Phi + k4.Phi, h / 6)
-    return out, k4.modes if warm else None
+    return shifted(k1.alpha + 2 * k2.alpha + 2 * k3.alpha + k4.alpha,
+                   k1.Phi + 2 * k2.Phi + 2 * k3.Phi + k4.Phi, h / 6)
 
 
 def _advance(stack: VortexStack, k1: _Velocity, family: FlatBundleFamily,
              tau_grid: np.ndarray, t: float, h: float, tol: float,
-             warm: bool, depth: int = 0):
+             depth: int = 0):
     """One accepted step of size h from the velocities k1 at its start: the
-    new stack, its moment residuals and the CG start for its velocities.
-    The configurations whose residual exceeds ``tol`` are redone in halves,
-    the first from the rows of k1."""
-    out, start = _rk4_step(stack, k1, family, t, h, warm)
+    new stack and its moment residuals.  The configurations whose residual
+    exceeds ``tol`` are redone in halves, the first from the rows of k1."""
+    out = _rk4_step(stack, k1, family, t, h)
     res = moment_residuals(out.curve, out.alpha, out.Phi, tau_grid)
     bad = np.flatnonzero(~(res <= tol))
     if bad.size == 0:
-        return out, res, start
+        return out, res
     if depth >= 6:
         raise TrackingLoss(
             "moment residual exceeds tolerance after 6 step halvings "
@@ -336,17 +317,14 @@ def _advance(stack: VortexStack, k1: _Velocity, family: FlatBundleFamily,
             residual=float(np.max(res[bad])))
     sub = replace(stack, alpha=stack.alpha[bad], Phi=stack.Phi[bad],
                   twists=stack.twists[bad])
-    mid, _, mid_start = _advance(sub, k1.rows(bad), family, tau_grid, t,
-                                 h / 2, tol, warm, depth + 1)
-    end, end_res, end_start = _advance(
-        mid, _velocities(mid, family, t + h / 2, mid_start), family,
-        tau_grid, t + h / 2, h / 2, tol, warm, depth + 1)
+    mid, _ = _advance(sub, k1.rows(bad), family, tau_grid, t, h / 2, tol,
+                      depth + 1)
+    end, end_res = _advance(mid, _velocities(mid, family, t + h / 2), family,
+                            tau_grid, t + h / 2, h / 2, tol, depth + 1)
     out.alpha[bad] = end.alpha
     out.Phi[bad] = end.Phi
     res[bad] = end_res
-    if warm:
-        start[bad] = end_start
-    return out, res, start
+    return out, res
 
 
 def _check_steps(steps: int) -> None:
@@ -385,19 +363,16 @@ def transport_stack(curve: FlatCurve, family: FlatBundleFamily,
         raise TrackingLoss("start configuration violates the moment map",
                            residual=float(np.max(res)))
     k1 = _velocities(stack, family, 0.0)
-    # the t = 0 solve decides for the whole transport whether the stages
-    # start warm: only where it iterated is a start worth its product
-    warm = k1.modes is not None
     yield _states(starts, 0.0, stack, res, k1.Psi)
     breaks = family.breaks()
     for t0, t1 in zip(breaks, breaks[1:]):
         sub = max(1, math.ceil(steps * (t1 - t0) - 1e-12))
         h = (t1 - t0) / sub
         for i in range(sub):
-            stack, res, start = _advance(stack, k1, family, tau_grid,
-                                         t0 + i * h, h, tol, warm)
+            stack, res = _advance(stack, k1, family, tau_grid, t0 + i * h, h,
+                                  tol)
             t = t1 if i == sub - 1 else t0 + (i + 1) * h
-            k1 = _velocities(stack, family, t, start)
+            k1 = _velocities(stack, family, t)
             yield _states(starts, t, stack, res, k1.Psi)
 
 

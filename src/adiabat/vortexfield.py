@@ -555,8 +555,7 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def pcg(apply: Callable, precondition: Callable, rhs: np.ndarray,
-        rtol: float, maxiter: int,
-        start: Optional[np.ndarray] = None) -> np.ndarray:
+        rtol: float, maxiter: int) -> np.ndarray:
     """Preconditioned conjugate gradients on a stack of Hermitian positive
     definite systems, one per index of axis 0 of ``rhs`` (any trailing
     shape); ``apply`` and ``precondition`` act on the whole stack, and
@@ -564,20 +563,15 @@ def pcg(apply: Callable, precondition: Callable, rhs: np.ndarray,
     system has its own step lengths and stops once its residual norm is
     below ``rtol`` times that of its right-hand side (scipy's ``cg`` rule);
     a zero right-hand side gives exactly zero.  The iteration starts from
-    ``start`` if given, whose residual costs one product, and from zero
-    otherwise.  A breakdown (non-finite residual) or ``maxiter``
-    iterations without convergence raise NonConvergence."""
+    zero.  A breakdown (non-finite residual) or ``maxiter`` iterations
+    without convergence raise NonConvergence."""
     per_system = (-1,) + (1,) * (rhs.ndim - 1)
     p = rho_prev = None
     # an overflow or a zero division shows as a non-finite residual, which
     # raises below; numpy's warning for it would be a second report
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         bound = rtol * np.sqrt(_dot(rhs, rhs).real)
-        if start is None:
-            x, r = None, rhs.copy()
-        else:
-            x = np.where((bound > 0).reshape(per_system), start, 0)
-            r = rhs - apply(x)
+        x, r = None, rhs.copy()
         for _ in range(maxiter):
             res = np.sqrt(_dot(r, r).real)
             if not np.all(np.isfinite(res)):

@@ -612,10 +612,13 @@ class TestRandomArguments:
 
     def test_made_braids_pass_every_layer(self, tmp_path):
         """braid-make over a random f*, rank and targets drawn from the
-        classes fix prints, then newton and check-identities at n = 8,
-        m = 8: targets beyond the rank exit 1 at braid-make; otherwise a
-        finite-order f* exits 0 throughout, and a parabolic or hyperbolic
-        one exits 1, saying which, since no flat structure is f-invariant."""
+        classes fix prints, then transport at n = 8 with 32 steps, and
+        newton and check-identities at n = 8, m = 8: targets beyond the
+        rank exit 1 at braid-make; otherwise transport exits 0 and matches
+        the braid's permutation for every f*, a finite-order f* exits 0
+        throughout, and a parabolic or hyperbolic one exits 1 at newton and
+        check-identities, saying which, since no flat structure is
+        f-invariant."""
         targets, braid = tmp_path / "targets.json", str(tmp_path / "b.json")
 
         def run_json(argv):
@@ -653,6 +656,10 @@ class TestRandomArguments:
                 assert code == 1
                 return
             assert code == 0
+            code, report = run_json(["transport", "--braid", braid, "--grid",
+                                     "8", "--tsteps", "32"])
+            assert code == 0, (matrix, rank, picks, report)
+            assert report["match"] is True, (matrix, rank, picks, report)
             kind = _kind(matrix)
             for command in ("newton", "check-identities"):
                 code, report = run_json([command, "--braid", braid, "--grid",

@@ -10,16 +10,15 @@ from scipy.sparse.linalg import LinearOperator, cg
 
 import adiabat.transport
 from adiabat.braid import braid_construct, braid_permutation, braid_validate
-from adiabat.errors import AmbiguousMatch, NonConvergence, SingularOperator
+from adiabat.errors import AmbiguousMatch, SingularOperator
 from adiabat.monopole import assemble_adiabatic
 from adiabat.topology import validate_mapping_class
-from adiabat.transport import (PSI_MAXITER, PSI_RTOL, PsiOperator,
-                               VortexStack, apply_psi_operator, aux_spinor,
-                               match_strands, numeric_monodromy, solve_psi,
-                               transport, transport_stack, transported,
-                               vortex_seed)
+from adiabat.transport import (PsiOperator, VortexStack, apply_psi_operator,
+                               aux_spinor, match_strands, numeric_monodromy,
+                               solve_psi, transport, transport_stack,
+                               transported, vortex_seed)
 from adiabat.vortexfield import (TWO_PI, Dolbeault, FlatBundleFamily,
-                                 FlatCurve, HolonomyPath, form_q, pcg,
+                                 FlatCurve, HolonomyPath, form_q,
                                  smooth_family, vortex_solve)
 from adiabat.zlattice import IntMatrix, cokernel
 
@@ -111,8 +110,7 @@ class TestSolvePsi:
             + 1j * rng.standard_normal((2, 3, 3))
         rhs = np.fft.ifft2(rhs_m, norm="forward")
         stack = VortexStack.of([cfg])
-        Psi, dbar_adj_Psi, _ = solve_psi(PsiOperator(stack, q_dev),
-                                         rhs[None])
+        Psi, dbar_adj_Psi = solve_psi(PsiOperator(stack, q_dev), rhs[None])
         image, dbar = psi_composition(stack, q_dev, Psi)
         resid = image[0] - rhs
         assert float(np.max(np.abs(resid))) < 1e-9 * float(np.max(np.abs(rhs)))
@@ -190,21 +188,52 @@ class TestSolvePsi:
         apply_psi_operator(op, psi_hat)
         assert calls == {"forward": 1, "inverse": 1}
 
-    def test_warm_transport_makes_fewer_products(self, monkeypatch):
-        """Warm starts cut the CG products: a 64-step transport of the
-        spatial-tau smooth family at n = 16 makes at most 3700 products
-        (4556 with every solve started cold)."""
-        products = []
-        original = adiabat.transport.apply_psi_operator
+    def test_transport_makes_at_most_2100_products(self,
+                                                   spatial_tau_transport):
+        """A 64-step transport of the spatial-tau smooth family at n = 16
+        makes at most 2100 CG products (3460 with the preconditioner
+        blind to the connection's mean)."""
+        _, products = spatial_tau_transport
+        assert 0 < products <= 2100
 
-        def counting(op, psi_hat):
-            products.append(1)
-            return original(op, psi_hat)
+    @pytest.mark.parametrize("t", [0.0, 0.5, 1.0])
+    def test_drifted_connection_takes_eight_products(self, monkeypatch,
+                                                     spatial_tau_transport,
+                                                     t):
+        """The preconditioner follows the mean of the connection, which
+        drifts in the b = 0 gauge: a cold K = 1 solve at the trace states
+        t = 0, 1/2 and 1 takes at most 8 products (8, 18 and 26 without
+        the mean)."""
+        trace, _ = spatial_tau_transport
+        state, = [s for s in trace.states if s.t == t]
+        products = count_products(monkeypatch)
+        adiabat.transport._velocities(VortexStack.of([state.cfg]),
+                                      smooth_family(tau_profile), t)
+        assert 0 < len(products) <= 8
 
-        monkeypatch.setattr(adiabat.transport, "apply_psi_operator",
-                            counting)
-        transported(FlatCurve(MU, 16), smooth_family(tau_profile), 0, 64)
-        assert 0 < len(products) <= 3700
+
+def count_products(monkeypatch):
+    """Count ``apply_psi_operator`` calls, the Psi CG products."""
+    products = []
+    original = adiabat.transport.apply_psi_operator
+
+    def counting(op, psi_hat):
+        products.append(1)
+        return original(op, psi_hat)
+
+    monkeypatch.setattr(adiabat.transport, "apply_psi_operator", counting)
+    return products
+
+
+@pytest.fixture(scope="module")
+def spatial_tau_transport():
+    """The 64-step transport of the spatial-tau smooth family at n = 16,
+    and the CG products it made."""
+    with pytest.MonkeyPatch.context() as mp:
+        products = count_products(mp)
+        trace = transported(FlatCurve(MU, 16), smooth_family(tau_profile),
+                            0, 64)
+    return trace, len(products)
 
 
 def readme_family():
@@ -242,7 +271,7 @@ class TestStationary:
             raise AssertionError("operator built for a zero right-hand side")
 
         monkeypatch.setattr(adiabat.transport, "PsiOperator", refuse)
-        Psi, dbar_adj_Psi, _ = aux_spinor(stack, family, t)
+        Psi, dbar_adj_Psi = aux_spinor(stack, family, t)
         for got in (Psi, dbar_adj_Psi):
             assert got.shape == stack.Phi.shape
             assert got.dtype == complex and not got.any()
@@ -256,9 +285,9 @@ class TestStationary:
         calls = []
         original = adiabat.transport.solve_psi
 
-        def counting(op, rhs, start=None):
+        def counting(op, rhs):
             calls.append(rhs.shape)
-            return original(op, rhs, start)
+            return original(op, rhs)
 
         monkeypatch.setattr(adiabat.transport, "solve_psi", counting)
         Psi = aux_spinor(stack, family, 0.3)[0]
@@ -400,89 +429,6 @@ class TestNumericMonodromy:
                 == match_strands(fam, alone, 50)
 
 
-def scipy_solution(op, rhs_modes):
-    """scipy's cg on the Psi equation of a one-system operator, in modes."""
-    shape = rhs_modes.shape
-    size = rhs_modes.size
-
-    def single(fn):
-        return LinearOperator((size, size), dtype=complex, matvec=lambda x:
-                              fn(x.reshape(shape)).ravel())
-
-    ref, info = cg(single(lambda x: apply_psi_operator(op, x)),
-                   rhs_modes.ravel(), rtol=1e-12, atol=0.0,
-                   M=single(op.precondition), maxiter=2000)
-    assert info == 0
-    return ref.reshape(shape)
-
-
-class TestWarmStart:
-    """The conjugate gradients from a start."""
-
-    def solve(self, op, rhs_modes, start):
-        return pcg(lambda p: apply_psi_operator(op, p), op.precondition,
-                   rhs_modes, PSI_RTOL, PSI_MAXITER, start)
-
-    def test_zero_rhs_system_returns_zero_from_a_start(self):
-        """One system of a batched stack has a zero right-hand side and a
-        nonzero start: it returns exactly 0; the others converge."""
-        stack, q_dev = stack_of_twists()
-        rng = np.random.default_rng(11)
-        rhs = random_sections(rng, stack.Phi.shape)
-        rhs[1] = 0.0
-        start = random_sections(rng, stack.Phi.shape)
-        op = PsiOperator(stack, q_dev)
-        got = self.solve(op, rhs, start)
-        assert not got[1].any()
-        resid = apply_psi_operator(op, got) - rhs
-        for k in (0, 2):
-            assert np.linalg.norm(resid[k]) <= 1e-11 * np.linalg.norm(rhs[k])
-
-    def test_start_that_solves_takes_one_product(self):
-        stack, q_dev = twisted_stack()
-        x = random_sections(np.random.default_rng(12), stack.Phi.shape)
-        rhs = apply_psi_operator(PsiOperator(stack, q_dev), x)
-        op = PsiOperator(stack, q_dev)
-        got = self.solve(op, rhs, x)
-        assert op.products == 1
-        assert np.array_equal(got, x)
-
-    def test_non_finite_start_raises(self):
-        stack, q_dev = twisted_stack()
-        rng = np.random.default_rng(13)
-        rhs = random_sections(rng, stack.Phi.shape)
-        start = random_sections(rng, stack.Phi.shape)
-        start[0, 1, 2, 3] = np.nan
-        op = PsiOperator(stack, q_dev)
-        with pytest.raises(NonConvergence):
-            self.solve(op, rhs, start)
-        with pytest.raises(SingularOperator) as info:
-            solve_psi(op, rhs, start)
-        assert info.value.exit_code == 2
-
-    def test_warm_and_cold_match_scipy(self):
-        """Cold, and warm from the solution of a nearby equation, the
-        solve agrees with scipy's cg to 1e-10 on a spatial tau."""
-        stack, q_dev = twisted_stack()
-        curve = stack.curve
-        rng = np.random.default_rng(14)
-        rhs = np.fft.ifft2(np.pad(random_sections(rng, (1, 2, 3, 3)),
-                                  ((0, 0), (0, 0), (0, 13), (0, 13))),
-                           norm="forward")
-        near = rhs + 1e-3 * random_sections(rng, rhs.shape)
-        start = solve_psi(PsiOperator(stack, q_dev), near)[2]
-        ref = scipy_solution(PsiOperator(stack, q_dev),
-                             curve.to_modes(rhs, stack.twists))
-        ref = curve.from_modes(ref, stack.twists)
-        products = []
-        for s in (None, start):
-            op = PsiOperator(stack, q_dev)
-            Psi = solve_psi(op, rhs, s)[0]
-            products.append(op.products)
-            assert np.max(np.abs(Psi - ref)) <= 1e-10 * np.max(np.abs(ref))
-        assert products[1] < products[0]
-
-
 def assert_psi_solves(trace, family):
     """Each state's psi solves the Psi equation at its time t, to 1e-10
     relative, checked through the twisted-sample composition with the
@@ -507,7 +453,7 @@ class TestTracePsi:
 
     def test_halved_step_states(self, monkeypatch):
         """A start whose steps are halved at tol 1e-4 under a spatial tau,
-        where every stage starts warm."""
+        where the Psi solves iterate."""
         curve = FlatCurve(MU, 16)
         family = smooth_family(tau_profile)
         steps = []
@@ -547,33 +493,9 @@ class TestTracePsi:
         for i in range(8):
             assert np.array_equal(Xi.Psi[i], at[i / 8])
 
-    @pytest.mark.parametrize("warm", [False, True])
-    def test_stages_start_warm_only_in_a_warm_transport(self, monkeypatch,
-                                                        warm):
-        """The transport's decision reaches every stage: k2, k3 and k4
-        start from the stage before only in a warm transport, although
-        k1's solve iterated and handed on its modes."""
-        curve = FlatCurve(MU, 8)
-        family = smooth_family(tau_profile)
-        stack = VortexStack.of([vortex_seed(curve, family, 0)])
-        k1 = adiabat.transport._velocities(stack, family, 0.0)
-        assert k1.modes is not None
-        took_start = []
-        solve = adiabat.transport.solve_psi
-
-        def recording(op, rhs, start=None):
-            took_start.append(start is not None)
-            return solve(op, rhs, start)
-
-        monkeypatch.setattr(adiabat.transport, "solve_psi", recording)
-        _, start = adiabat.transport._rk4_step(stack, k1, family, 0.0,
-                                               1 / 16, warm)
-        assert took_start == [warm] * 3
-        assert (start is not None) == warm
-
-    def test_exact_preconditioner_takes_no_start(self, monkeypatch):
+    def test_constant_tau_takes_one_product_per_solve(self, monkeypatch):
         """Under constant tau the preconditioner is exact: a K = 2 stack
-        makes one product per solve, so no solve took a start."""
+        makes one product per solve."""
         curve = FlatCurve(MU, 8)
         family = moving_family()
         starts = [vortex_seed(curve, family, k) for k in range(2)]
@@ -585,9 +507,9 @@ class TestTracePsi:
             counts["products"] += 1
             return apply_op(op, psi_hat)
 
-        def counting_solve(op, rhs, start=None):
+        def counting_solve(op, rhs):
             counts["solves"] += 1
-            return solve(op, rhs, start)
+            return solve(op, rhs)
 
         monkeypatch.setattr(adiabat.transport, "apply_psi_operator",
                             counting_apply)
