@@ -27,8 +27,7 @@ from .braid import (TorusBraid, braid_census, braid_construct,
                     braid_validate)
 from .vortexfield import (FlatBundleFamily, FlatCurve, invariant_modulus,
                           moment_residual, save_vortex_config, vortex_solve)
-from .transport import (TransportTrace, match_strands, transport_stack,
-                        vortex_seed)
+from .transport import match_strands, transport_stack, vortex_seed
 from .monopole import (adiabatic_config, config_norm_diff, identity_check,
                        newton_refine, save_config3d, sw_map, weighted_norm)
 
@@ -209,17 +208,18 @@ def cmd_transport(args) -> int:
     braid = _load_braid(args.braid)
     family = FlatBundleFamily.from_braid(braid, tau_bar=args.tau)
     curve = _curve(args, braid.mc.fstar.to_lists())
-    # the stacked run of numeric_monodromy, keeping strand 0's states so
-    # that its trace is written without transporting it again
+    # the stacked run of numeric_monodromy, keeping strand 0's trace lines
+    # so that its trace is written without transporting it again
     starts = [vortex_seed(curve, family, k) for k in range(family.N)]
-    strand0 = []
+    lines = []
     for states in transport_stack(curve, family, starts, args.tsteps,
                                   args.tolerance):
-        strand0.append(states[0])
+        if args.out:
+            lines.append(states[0].to_json() + "\n")
     perm = match_strands(family, [s.holonomy for s in states], args.tsteps)
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write(TransportTrace(strand0).to_jsonl())
+            fh.writelines(lines)
     report = {"permutation": list(perm),
               "braid_permutation": list(braid.closing_permutation),
               "match": list(perm) == list(braid.closing_permutation)}

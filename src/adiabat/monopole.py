@@ -166,7 +166,6 @@ class Config3D:
     twists: np.ndarray         # (N, 2)
     cq: np.ndarray             # (m, N) flat dbar deviation constants
     aref_dot: np.ndarray       # (m, 2) active-strand velocity
-    sigma_t: np.ndarray        # (m, 2)
     tau_grid: np.ndarray       # (n, n)
     # dbar_beta of the slices, beta the connection deviation dev plus the
     # flat constants cq; rebuilt whenever a configuration is made
@@ -307,7 +306,6 @@ def assemble_adiabatic(trace: TransportTrace, family: FlatBundleFamily,
     Psi = np.empty((m, N, n, n), complex)
     cq = np.empty((m, N), complex)
     aref_dot = np.empty((m, 2))
-    sigma_t = np.empty((m, 2))
     for i in range(m):
         t = i / m
         key = round(t * 1e7)
@@ -323,11 +321,10 @@ def assemble_adiabatic(trace: TransportTrace, family: FlatBundleFamily,
         da = (hol - base) - (hol[k0] - base[k0])
         cq[i] = 2j * math.pi * form_q(curve, da[:, 0], da[:, 1])
         aref_dot[i] = family.paths[k0].deriv(t)
-        sigma_t[i] = family.sigma(t)
     Xi = Config3D(curve=curve, family=family, m=m, dev=dev, Phi=Phi,
                   V=np.zeros((m, n, n), complex),
                   b=np.zeros((m, n, n), complex), Psi=Psi, seam=seam,
-                  twists=twists, cq=cq, aref_dot=aref_dot, sigma_t=sigma_t,
+                  twists=twists, cq=cq, aref_dot=aref_dot,
                   tau_grid=_tau_grid(curve, family.tau()))
     # seam closure: the t = 1 trace state must be U(slice 0)
     end = trace.states[-1]
@@ -391,7 +388,7 @@ def sw_map(Xi: Config3D, eps: float) -> Tangent3D:
     ie2 = 1.0 / eps ** 2
     Adot = d_t(Xi, Xi.dev, "form") \
         + (-2j * math.pi * Xi.aref_dot)[:, :, None, None]
-    one = Adot - d_scalar(curve, Xi.b) - (1j * Xi.sigma_t)[:, :, None, None]
+    one = Adot - d_scalar(curve, Xi.b)
     eta = _pair01(Xi.Psi, Xi.Phi)
     a = hodge_star(curve, one) - d_scalar(curve, Xi.V) \
         - 1j * _im_form01(curve, eta)

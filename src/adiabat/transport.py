@@ -2,12 +2,12 @@
 
 The horizontal lift (A(t), Phi(t), Psi(t)) of a holonomy path solves
 
-    i Adot = Re<Psi, Phi> - sigma,      i Phidot = dbar_beta* Psi,
+    i Adot = Re<Psi, Phi>,      i Phidot = dbar_beta* Psi,
 
 where Psi is the unique solution of the elliptic equation
 
     dbar_beta dbar_beta* Psi + (1/2) <Psi, Phi> Phi = rhs,
-    rhs_j = (q_sigma + q(2 pi adot_j (dx,dy))) Phi_j,
+    rhs_j = q(2 pi adot_j (dx,dy)) Phi_j,
 
 beta_j being the evolving connection on summand j (the stored iR-valued
 1-form alpha plus the flat deviation 2 pi i (a_j(t) - a_j(0)) (dx,dy)).
@@ -17,9 +17,9 @@ equation is solved on the untwisted Fourier modes of Psi, where the twist
 phases drop out: a conjugate-gradient product is one inverse and one
 forward 2D transform, and the phases touch only the right-hand side and
 the solution, whose last inverse transform also gives dbar_beta* Psi.
-Where rhs vanishes on the whole stack, as on a constant strand with
-sigma = 0 and on the inactive summands of a seed, Psi = 0 is the solution
-and no operator is built.
+Where rhs vanishes on the whole stack, as on a constant strand and on the
+inactive summands of a seed, Psi = 0 is the solution and no operator is
+built.
 Integration is classical RK4 in the b = 0 gauge with substeps aligned to
 the family's breakpoints; the moment-map residual is the step acceptance
 criterion.  One integrator advances a stack of K starts of one family
@@ -177,11 +177,9 @@ def solve_psi(op: PsiOperator, rhs: np.ndarray):
 
 def _rhs_coefficients(curve: FlatCurve, family: FlatBundleFamily, t: float):
     """c at time t, one entry per component: the Psi equation's right-hand
-    side is c_j Phi_j with c_j = q(sigma) + q(2 pi adot_j)."""
-    sigma = np.asarray(family.sigma(t), float)
+    side is c_j Phi_j with c_j = q(2 pi adot_j)."""
     adot = TWO_PI * family.velocities(t)
-    return form_q(curve, sigma[0], sigma[1]) \
-        + form_q(curve, adot[:, 0], adot[:, 1])
+    return form_q(curve, adot[:, 0], adot[:, 1])
 
 
 def _deviation(curve: FlatCurve, family: FlatBundleFamily, t: float):
@@ -195,9 +193,9 @@ def aux_spinor(stack: VortexStack, family: FlatBundleFamily, t: float):
     """(Psi, dbar_beta* Psi): the auxiliary spinor of the stack at time t,
     solving the Psi equation there, and its image under dbar_beta*.
 
-    Where the right-hand side vanishes on the whole stack (constant strands
-    with sigma = 0, or a seed whose active strand is constant) the solution
-    is Psi = 0 and no operator is built.
+    Where the right-hand side vanishes on the whole stack (constant strands,
+    or a seed whose active strand is constant) the solution is Psi = 0 and
+    no operator is built.
     """
     curve = stack.curve
     rhs = _rhs_coefficients(curve, family, t)[:, None, None] * stack.Phi
@@ -221,11 +219,9 @@ def _velocities(stack: VortexStack, family: FlatBundleFamily,
                 t: float) -> _Velocity:
     """The velocities of the parallel-transport ODE at time t."""
     Psi, dbar_adj_Psi = aux_spinor(stack, family, t)
-    sigma = np.asarray(family.sigma(t), float)
     eta = np.sum(Psi * np.conj(stack.Phi), axis=-3)
     alpha_dot = -1j * np.stack(
-        [np.real(eta) - sigma[0],
-         np.real(eta * np.conj(stack.curve.modulus)) - sigma[1]], axis=1)
+        [np.real(eta), np.real(eta * np.conj(stack.curve.modulus))], axis=1)
     return _Velocity(alpha_dot, -1j * dbar_adj_Psi, Psi)
 
 
@@ -251,6 +247,15 @@ class TransportState:
     def phi_l2(self) -> float:
         return math.sqrt(self.cfg.phi_l2_sq())
 
+    def to_json(self) -> str:
+        """The state's trace line: t, holonomy, moment residual, |Phi|_L2."""
+        return json.dumps({
+            "t": self.t,
+            "holonomy": [float(x) for x in self.holonomy],
+            "moment_residual": self.moment_residual,
+            "phi_l2": self.phi_l2,
+        }, allow_nan=False)
+
 
 @dataclass
 class TransportTrace:
@@ -269,15 +274,7 @@ class TransportTrace:
         return max(s.moment_residual for s in self.states)
 
     def to_jsonl(self) -> str:
-        lines = []
-        for s in self.states:
-            lines.append(json.dumps({
-                "t": s.t,
-                "holonomy": [float(x) for x in s.holonomy],
-                "moment_residual": s.moment_residual,
-                "phi_l2": s.phi_l2,
-            }, allow_nan=False))
-        return "\n".join(lines) + "\n"
+        return "\n".join(s.to_json() for s in self.states) + "\n"
 
 
 def _rk4_step(stack: VortexStack, k1: _Velocity, family: FlatBundleFamily,

@@ -1,14 +1,14 @@
 """Discretized fields on a flat elliptic curve and the multi-vortex solver.
 
 Conventions.  The curve is C/(Z + mu Z) with z = x + mu y, (x, y) in the unit
-square, metric rho |dz|^2 with rho chosen so the total area is ``area``
-(default 2 pi, making the volume form area * dx dy).  Sections of a flat
+square, metric rho |dz|^2 with rho chosen so the total area is
+``area`` = 2 pi, making the volume form area * dx dy.  Sections of a flat
 line bundle with holonomy theta in (R/Z)^2 are sampled on the uniform grid;
 the samples include the twist phase exp(2 pi i (theta_1 x + theta_2 y)), so
 spectral operators strip the phase, act diagonally on Fourier modes, and
 restore it.  A (0,1)-form is stored through its dz-bar coefficient q, a
 1-form as one (..., 2, n, n) array of its components (alpha_x, alpha_y);
-the pointwise metric weight of dz-bar is Im(mu)/pi when area = 2 pi.
+the pointwise metric weight of dz-bar is Im(mu)/pi.
 
 Arrays.  The grid is always the last two axes.  Every spectral operator
 (``FlatCurve.spectral``, ``d_scalar``, ``star_d``, ``d_star`` and
@@ -46,7 +46,7 @@ import functools
 import json
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, ClassVar, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -96,7 +96,7 @@ def _curve_constant(build):
 class FlatCurve:
     modulus: complex
     n: int
-    area: float = TWO_PI
+    area: ClassVar[float] = TWO_PI
     _consts: dict = field(default_factory=dict, init=False, repr=False,
                           compare=False)
     _twists: dict = field(default_factory=dict, init=False, repr=False,
@@ -105,12 +105,10 @@ class FlatCurve:
     def __post_init__(self):
         if self.n < 8 or self.n % 2:
             raise ValueError("grid resolution must be even and at least 8")
-        if not (cmath.isfinite(self.modulus) and math.isfinite(self.area)):
-            raise ValueError("modulus and area must be finite")
+        if not cmath.isfinite(self.modulus):
+            raise ValueError("modulus must be finite")
         if self.modulus.imag <= 0:
             raise ValueError("modulus must have positive imaginary part")
-        if self.area <= 0:
-            raise ValueError("area must be positive")
 
     @property
     def imu(self) -> float:
@@ -395,17 +393,15 @@ class HolonomyPath:
 
 @dataclass
 class FlatBundleFamily:
-    """N holonomy paths with twisted closing, plus perturbation (sigma, tau)."""
+    """N holonomy paths with twisted closing, plus the perturbation tau."""
 
     N: int
     mc: MappingClass
     closing_permutation: Tuple[int, ...]
     paths: List[HolonomyPath]
-    sigma: Callable[[float], np.ndarray] = field(
-        default=lambda t: np.zeros(2))
     tau_bar: float = 2.0
-    # optional t-independent spatial profile tau(X, Y); with spatially
-    # constant sigma the closedness constraint forces tau_dot = 0
+    # optional spatial profile tau(X, Y), t-independent as the closedness
+    # constraint tau_dot = 0 requires
     tau_spatial: Optional[Callable] = None
 
     def tau(self):
@@ -426,11 +422,6 @@ class FlatBundleFamily:
                 raise EndpointMismatch(
                     f"path {k}: closing does not match f* endpoint mod Z^2",
                     strand=k, distance=toroidal_distance(start, end))
-        # spatially constant sigma has star d sigma = 0, so the closedness
-        # constraint tau_dot + star d sigma = 0 holds with constant tau
-        s = np.asarray(self.sigma(0.5), float)
-        if s.shape != (2,):
-            raise ValueError("sigma must be a spatially constant 1-form (2,)")
 
     def holonomies(self, t: float) -> np.ndarray:
         return np.stack([p(t) for p in self.paths])
@@ -451,15 +442,13 @@ class FlatBundleFamily:
         return tuple(sorted(out | {0.0, 1.0}))
 
     @staticmethod
-    def from_braid(b: TorusBraid, tau_bar: float = 2.0,
-                   sigma=None) -> "FlatBundleFamily":
+    def from_braid(b: TorusBraid, tau_bar: float = 2.0) -> "FlatBundleFamily":
         paths = [HolonomyPath.piecewise_linear(
             [(float(t), float(x), float(y)) for (t, x, y) in s])
             for s in b.strands]
         return FlatBundleFamily(
             N=b.N, mc=b.mc, closing_permutation=b.closing_permutation,
-            paths=paths, sigma=sigma or (lambda t: np.zeros(2)),
-            tau_bar=tau_bar)
+            paths=paths, tau_bar=tau_bar)
 
 
 def smooth_family(tau_spatial: Optional[Callable] = None) -> FlatBundleFamily:

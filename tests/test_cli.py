@@ -615,10 +615,12 @@ class TestRandomArguments:
         classes fix prints, then transport at n = 8 with 32 steps, and
         newton and check-identities at n = 8, m = 8: targets beyond the
         rank exit 1 at braid-make; otherwise transport exits 0 and matches
-        the braid's permutation for every f*, a finite-order f* exits 0
-        throughout, and a parabolic or hyperbolic one exits 1 at newton and
-        check-identities, saying which, since no flat structure is
-        f-invariant."""
+        the braid's permutation for every f*.  With no targets at rank 2
+        the padding is one 2-cycle, so newton and check-identities exit 1
+        for every f*, saying that no strand is fixed; otherwise a
+        finite-order f* exits 0 throughout, and a parabolic or hyperbolic
+        one exits 1 at newton and check-identities, saying which, since no
+        flat structure is f-invariant."""
         targets, braid = tmp_path / "targets.json", str(tmp_path / "b.json")
 
         def run_json(argv):
@@ -636,11 +638,13 @@ class TestRandomArguments:
             return code, strict_json(out.getvalue() or "null")
 
         @given(st.sampled_from(_sl2z(3)), st.integers(1, 2),
-               st.lists(st.integers(0, 99), min_size=1, max_size=3))
-        # parabolic; order 6; order 6 with no spatial band at n = 8
+               st.lists(st.integers(0, 99), min_size=0, max_size=3))
+        # parabolic; order 6; order 6 with no spatial band at n = 8; no
+        # strand fixed
         @example("-1,1;0,-1", 1, [0])
         @example("0,-1;1,1", 2, [0, 1])
         @example("-2,-3;1,1", 1, [0])
+        @example("-1,0;0,-1", 2, [])
         @settings(max_examples=12, deadline=None, derandomize=True)
         def check(matrix, rank, picks):
             code, rows = run_json(["fix", f"--matrix={matrix}"])
@@ -664,7 +668,12 @@ class TestRandomArguments:
             for command in ("newton", "check-identities"):
                 code, report = run_json([command, "--braid", braid, "--grid",
                                          "8", "--slices", "8"])
-                if kind == "finite":
+                if rank >= 2 and not picks:
+                    assert code == 1, (matrix, rank, picks, report)
+                    assert report["error"] == "periodicity_mismatch"
+                    assert "no strand is fixed by the closing permutation" \
+                        in report["message"]
+                elif kind == "finite":
                     assert code == 0, (matrix, rank, picks, report)
                 else:
                     assert code == 1, (matrix, rank, picks, report)

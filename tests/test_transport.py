@@ -437,10 +437,8 @@ def assert_psi_solves(trace, family):
         cfg = state.cfg
         curve = cfg.curve
         stack = VortexStack.of([cfg])
-        sigma = np.asarray(family.sigma(state.t), float)
         adot = TWO_PI * family.velocities(state.t)
-        c = form_q(curve, sigma[0], sigma[1]) \
-            + form_q(curve, adot[:, 0], adot[:, 1])
+        c = form_q(curve, adot[:, 0], adot[:, 1])
         rhs = c[:, None, None] * cfg.Phi
         da = family.holonomies(state.t) - family.holonomies(0.0)
         q_dev = 2j * np.pi * form_q(curve, da[:, 0], da[:, 1])
