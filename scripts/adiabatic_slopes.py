@@ -15,7 +15,7 @@ import numpy as np
 
 from adiabat.cli import parse_floats, report_errors
 from adiabat.monopole import (adiabatic_config, config_norm_diff,
-                              newton_refine, sw_map, weighted_norm)
+                              newton_refine)
 from adiabat.vortexfield import FlatCurve, smooth_family
 
 
@@ -36,8 +36,8 @@ def main():
     r0s, diffs = [], []
     for eps in eps_list:
         t0 = time.time()
-        r0 = weighted_norm(Xi0, sw_map(Xi0, eps), eps, 2, 0).value
         Xi_eps, log = newton_refine(Xi0, eps)
+        r0 = log[0]["residual_0_2_eps"]
         diff = config_norm_diff(Xi_eps, Xi0, eps, 2, 1).value
         r0s.append(r0)
         diffs.append(diff)

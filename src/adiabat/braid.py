@@ -118,28 +118,18 @@ def _segment_hits_lattice(P, Q) -> Fraction | None:
 
     Exact rational arithmetic; P, Q are pairs of Fractions.
     """
-    px, py = P
-    qx, qy = Q
+    if Q[0] == 0 and Q[1] == 0:
+        return Fraction(0) if _is_integral(P) else None
+    # scan the integer crossings of a coordinate j that moves
+    j = 0 if Q[0] != 0 else 1
+    lo, hi = sorted((P[j], P[j] + Q[j]))
+    m = -(-lo.numerator // lo.denominator)  # ceil(lo)
     hits: List[Fraction] = []
-    if qx == 0 and qy == 0:
-        return Fraction(0) if px.denominator == 1 and py.denominator == 1 else None
-    if qx != 0:
-        lo, hi = sorted((px, px + qx))
-        m = -(-lo.numerator // lo.denominator)  # ceil(lo)
-        while m <= hi:
-            s = (Fraction(m) - px) / qx
-            if 0 <= s <= 1 and (py + s * qy).denominator == 1:
-                hits.append(s)
-            m += 1
-    else:
-        if px.denominator == 1:
-            lo, hi = sorted((py, py + qy))
-            m = -(-lo.numerator // lo.denominator)
-            while m <= hi:
-                s = (Fraction(m) - py) / qy
-                if 0 <= s <= 1:
-                    hits.append(s)
-                m += 1
+    while m <= hi:
+        s = (Fraction(m) - P[j]) / Q[j]
+        if 0 <= s <= 1 and (P[1 - j] + s * Q[1 - j]).denominator == 1:
+            hits.append(s)
+        m += 1
     return min(hits) if hits else None
 
 

@@ -725,16 +725,19 @@ def newton_refine(Xi0: Config3D, eps: float) -> Tuple[Config3D, List[Dict]]:
     Each step solves D_eps(Xi_k) xi = (-R1, +R2, 0, -R4, +R5) for the
     current five-row residual R, enforcing the Coulomb-type gauge row by
     construction, and updates Xi.  Stops below NEWTON_TOL in the (0,2,eps)
-    norm; two consecutive residual increases abort with Divergence.
+    norm; two consecutive residual increases abort with Divergence, and a
+    residual still above it after NEWTON_MAX_ITER steps raises
+    NonConvergence.
 
     The step is inexact: preconditioned GMRES solves to the relative
     tolerance eta_k = ``forcing_term(r_k)`` (Eisenstat-Walker) of the
     step's residual r_k, loose far from the solution and tight near it.
     Each log entry holds k, ``residual_0_2_eps``, ``increment_1_2_eps``,
     ``gmres_rtol`` (eta_k) and ``gmres_products`` (operator applications
-    of the solve); the closing entry solves nothing and has 0 for the last
-    three.  A GMRES failure raises LinearSolveFailure with the iteration,
-    scipy's ``info``, ``rtol``, the packed ``rhs_norm`` and ``products``.
+    of the solve); a refinement that converges always ends its log with a
+    closing entry, which solves nothing and has 0 for the last three.  A
+    GMRES failure raises LinearSolveFailure with the iteration, scipy's
+    ``info``, ``rtol``, the packed ``rhs_norm`` and ``products``.
     """
     Xi = Xi0
     log: List[Dict] = []
@@ -742,7 +745,7 @@ def newton_refine(Xi0: Config3D, eps: float) -> Tuple[Config3D, List[Dict]]:
     increases = 0
     size = len(_pack(Tangent3D.zero(Xi0)))
     symbol = _ModeSymbol(Xi0, eps)
-    for k in range(NEWTON_MAX_ITER):
+    for k in range(NEWTON_MAX_ITER + 1):
         R = sw_map(Xi, eps)
         res = weighted_norm(Xi, R, eps, 2, 0).value
         if res < NEWTON_TOL:
@@ -750,6 +753,9 @@ def newton_refine(Xi0: Config3D, eps: float) -> Tuple[Config3D, List[Dict]]:
                         "increment_1_2_eps": 0.0, "gmres_rtol": 0.0,
                         "gmres_products": 0})
             return Xi, log
+        if k == NEWTON_MAX_ITER:
+            raise NonConvergence("Newton refinement did not reach tolerance",
+                                 residual=res, log=log)
         if res >= prev:
             increases += 1
             if increases >= 2:
@@ -791,11 +797,6 @@ def newton_refine(Xi0: Config3D, eps: float) -> Tuple[Config3D, List[Dict]]:
                     "increment_1_2_eps": inc, "gmres_rtol": rtol,
                     "gmres_products": products})
         Xi = config_update(Xi, xi)
-    res = weighted_norm(Xi, sw_map(Xi, eps), eps, 2, 0).value
-    if res >= NEWTON_TOL:
-        raise NonConvergence("Newton refinement did not reach tolerance",
-                             residual=res, log=log)
-    return Xi, log
 
 
 # ---------------------------------------------------------------------------

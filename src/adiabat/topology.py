@@ -19,7 +19,7 @@ from functools import cached_property
 from typing import Dict, List, Sequence, Tuple
 
 from .errors import DegreeTooSmall, InfiniteFamily, NonIsolatedFixedSet, NotSymplectic
-from .zlattice import FinAbGroup, IntMatrix, TorusPoint, cokernel, torsion_fixed_points
+from .zlattice import FinAbGroup, IntMatrix, TorusPoint, cokernel
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +100,7 @@ def jacobian_fixed_points(mc: MappingClass) -> List[Tuple[TorusPoint, Tuple[int,
                                   fstar=mc.fstar.to_lists())
     A = mc.one_minus_fstar
     out = []
-    for x in torsion_fixed_points(A):
+    for x in grp.torsion_points():
         w = A.apply(x.coordinates)
         assert all(c.denominator == 1 for c in w)
         out.append((x, grp.normalize([int(c) for c in w])))
@@ -167,16 +167,12 @@ def count_large_d(mc: MappingClass, N: int, d: int) -> CountTable:
         raise DegreeTooSmall(f"need d > 2g-2 = {2*g-2}", d=d, g=g)
     det = mc.one_minus_fstar.det()
     count = _sign(det) * N * (d + 1 - g)
-    assumptions = ("bundle family semistable (not verified)",
-                   "generic parameters (not verified)")
-    if det == 0:
-        rows = ((SpinCClass(degree=d, torsion_class=(0,) * (2 * g)), 0),)
-        return CountTable(rows=rows, N=N, d=d, g=g, det_one_minus_fstar=0,
-                          assumptions=assumptions)
-    classes = spinc_classes(mc, d)
-    rows = tuple((s, count) for s in classes)
-    return CountTable(rows=rows, N=N, d=d, g=g, det_one_minus_fstar=det,
-                      assumptions=assumptions)
+    classes = (spinc_classes(mc, d) if det else
+               [SpinCClass(degree=d, torsion_class=(0,) * (2 * g))])
+    return CountTable(rows=tuple((s, count) for s in classes), N=N, d=d, g=g,
+                      det_one_minus_fstar=det,
+                      assumptions=("bundle family semistable (not verified)",
+                                   "generic parameters (not verified)"))
 
 
 def moduli_dimension(N: int, d: int, g: int) -> int:

@@ -270,12 +270,6 @@ class TransportTrace:
     def final(self) -> TransportState:
         return self.states[-1]
 
-    def max_moment_residual(self) -> float:
-        return max(s.moment_residual for s in self.states)
-
-    def to_jsonl(self) -> str:
-        return "\n".join(s.to_json() for s in self.states) + "\n"
-
 
 def _rk4_step(stack: VortexStack, k1: _Velocity, family: FlatBundleFamily,
               t: float, h: float) -> VortexStack:

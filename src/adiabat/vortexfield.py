@@ -547,20 +547,20 @@ def pcg(apply: Callable, precondition: Callable, rhs: np.ndarray,
         rtol: float, maxiter: int) -> np.ndarray:
     """Preconditioned conjugate gradients on a stack of Hermitian positive
     definite systems, one per index of axis 0 of ``rhs`` (any trailing
-    shape); ``apply`` and ``precondition`` act on the whole stack, and
-    ``precondition`` returns a new array, which is updated in place.  Each
+    shape); ``apply`` and ``precondition`` act on the whole stack.  Each
     system has its own step lengths and stops once its residual norm is
     below ``rtol`` times that of its right-hand side (scipy's ``cg`` rule);
     a zero right-hand side gives exactly zero.  The iteration starts from
     zero.  A breakdown (non-finite residual) or ``maxiter`` iterations
     without convergence raise NonConvergence."""
     per_system = (-1,) + (1,) * (rhs.ndim - 1)
-    p = rho_prev = None
     # an overflow or a zero division shows as a non-finite residual, which
     # raises below; numpy's warning for it would be a second report
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         bound = rtol * np.sqrt(_dot(rhs, rhs).real)
-        x, r = None, rhs.copy()
+        r, x, p = rhs.copy(), np.zeros_like(rhs), np.zeros_like(rhs)
+        # rho_prev = inf makes the first direction z itself
+        rho_prev = np.inf
         for _ in range(maxiter):
             res = np.sqrt(_dot(r, r).real)
             if not np.all(np.isfinite(res)):
@@ -568,27 +568,14 @@ def pcg(apply: Callable, precondition: Callable, rhs: np.ndarray,
                                      residuals=res.tolist())
             active = (res >= bound) & (bound > 0)
             if not active.any():
-                return np.zeros_like(rhs) if x is None else x
-            masked = not active.all()
+                return x
             z = precondition(r)
             rho = _dot(r, z)
-            if p is None:
-                p = z
-            else:
-                beta = rho / rho_prev
-                if masked:
-                    beta = np.where(active, beta, 0.0)
-                p *= beta.reshape(per_system)
-                p += z
+            p *= np.where(active, rho / rho_prev, 0.0).reshape(per_system)
+            p += z
             q = apply(p)
-            step = rho / _dot(p, q)
-            if masked:
-                step = np.where(active, step, 0.0)
-            step = step.reshape(per_system)
-            if x is None:
-                x = step * p
-            else:
-                x += step * p
+            step = np.where(active, rho / _dot(p, q), 0.0).reshape(per_system)
+            x += step * p
             r -= step * q
             rho_prev = rho
     raise NonConvergence("conjugate-gradient solve stalled", maxiter=maxiter,

@@ -338,6 +338,23 @@ class FinAbGroup:
         return [self.snf.Uinv.apply(dig) for dig in
                 itertools.product(*map(range, self.snf.invariant_factors))]
 
+    def torsion_points(self) -> list:
+        """All x in [0,1)^n with A x integral, sorted lexicographically.
+
+        Writes x = V y; A x is integral iff D y is, so y_i ranges over
+        multiples of 1/d_i: exactly |det A| points.  Raises
+        NonIsolatedFixedSet when det A = 0 (the group is infinite).
+        """
+        if not self.is_finite:
+            raise NonIsolatedFixedSet(
+                "fixed set is positive-dimensional (det = 0)", det=0)
+        factors = self.snf.invariant_factors
+        points = {TorusPoint(self.snf.V.apply([Fraction(j, d)
+                                               for j, d in zip(y, factors)]))
+                  for y in itertools.product(*map(range, factors))}
+        assert len(points) == self.order
+        return sorted(points)
+
 
 def cokernel(A: IntMatrix) -> FinAbGroup:
     """Cokernel Z^n / im(A) of a square integer matrix."""
@@ -347,7 +364,7 @@ def cokernel(A: IntMatrix) -> FinAbGroup:
 
 
 # ---------------------------------------------------------------------------
-# Torsion fixed points
+# Torus points
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True, order=True)
@@ -367,24 +384,3 @@ class TorusPoint:
 
     def __str__(self):
         return "(" + ", ".join(str(c) for c in self.coordinates) + ")"
-
-
-def torsion_fixed_points(A: IntMatrix) -> list:
-    """All x in [0,1)^n with A x integral, via the Smith decomposition.
-
-    Writes x = V y; A x is integral iff D y is, so y_i ranges over
-    multiples of 1/d_i.  Returns exactly |det A| points sorted
-    lexicographically; raises NonIsolatedFixedSet when det A = 0.
-    """
-    if A.rows != A.cols:
-        raise ValueError("torsion_fixed_points expects a square matrix")
-    snf = smith_normal_form(A)
-    factors = snf.invariant_factors
-    if 0 in factors:
-        raise NonIsolatedFixedSet(
-            "fixed set is positive-dimensional (det = 0)", det=0)
-    points = {TorusPoint(snf.V.apply([Fraction(j, d)
-                                      for j, d in zip(y, factors)]))
-              for y in itertools.product(*map(range, factors))}
-    assert len(points) == math.prod(factors)
-    return sorted(points)

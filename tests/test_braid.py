@@ -61,6 +61,17 @@ class TestValidation:
             mk(mc, [[(0, 0, 0), (1, 1, 0)],
                     [(0, F(1, 2), 0), (1, F(1, 2), 0)]], (0, 1))
 
+    def test_vertical_crossing_detected(self):
+        """The strands differ only in y, so the scan runs over y; the
+        difference (0, -1/4) - s (0, 1) meets the lattice at t = 3/4."""
+        mc = validate_mapping_class(1, ID2)
+        with pytest.raises(DiagonalCollision) as info:
+            mk(mc, [[(0, F(1, 4), F(1, 4)), (1, F(1, 4), F(1, 4))],
+                    [(0, F(1, 4), F(1, 2)), (1, F(1, 4), F(3, 2))]], (0, 1))
+        assert (info.value.code, info.value.exit_code) == \
+            ("diagonal_collision", 1)
+        assert info.value.detail["time"] == "3/4"
+
     def test_swap_braid_valid(self):
         mc = validate_mapping_class(1, ID2)
         b = mk(mc, [[(0, 0, 0), (1, F(1, 2), 0)],

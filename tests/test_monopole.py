@@ -11,7 +11,7 @@ import pytest
 from adiabat import monopole
 from adiabat.braid import TorusBraid, braid_construct
 from adiabat.errors import (Divergence, LinearSolveFailure,
-                            PeriodicityMismatch)
+                            NonConvergence, PeriodicityMismatch)
 from adiabat.monopole import (FORCING_MAX, GMRES_TOL, NEWTON_TOL, SeamGluing,
                               Tangent3D, adiabatic_config,
                               adiabatic_residual, assemble_adiabatic,
@@ -74,6 +74,12 @@ def rows(xi):
 @pytest.fixture(scope="module")
 def Xi():
     return adiabatic_config(FlatCurve(MU, 12), smooth_family(), 16, 64)
+
+
+@pytest.fixture(scope="module")
+def coarse_Xi():
+    """The smooth family at n = 8 on 8 slices, transported in 32 steps."""
+    return adiabatic_config(FlatCurve(MU, 8), smooth_family(), 8, 32)
 
 
 @pytest.fixture(scope="module")
@@ -386,6 +392,39 @@ class TestNewton:
         assert detail["rtol"] == FORCING_MAX
         assert detail["rhs_norm"] > 0
         assert detail["products"] == len(calls) > 0
+        json.dumps(info.value.to_json(), allow_nan=False)
+
+    def test_growing_residual_diverges(self, coarse_Xi, monkeypatch):
+        """Steps of -4 times the right-hand side raise the residual twice;
+        the error carries the log of the two steps taken."""
+        monkeypatch.setattr(monopole, "gmres", lambda op, b, **kw: (-4 * b, 0))
+        with pytest.raises(Divergence) as info:
+            newton_refine(coarse_Xi, 0.2)
+        assert (info.value.code, info.value.exit_code) == ("divergence", 2)
+        log = info.value.detail["log"]
+        assert [e["k"] for e in log] == [0, 1]
+        assert log[1]["residual_0_2_eps"] > log[0]["residual_0_2_eps"]
+
+    def test_converging_on_the_last_step_closes_the_log(self, coarse_Xi,
+                                                        monkeypatch):
+        """At eps = 0.2 the refinement converges after three steps; with
+        three allowed, the log still ends with its closing entry."""
+        monkeypatch.setattr(monopole, "NEWTON_MAX_ITER", 3)
+        _, log = newton_refine(coarse_Xi, 0.2)
+        assert [e["k"] for e in log] == [0, 1, 2, 3]
+        assert log[-1]["residual_0_2_eps"] < NEWTON_TOL
+        assert log[-1]["gmres_products"] == 0
+        assert all(e["gmres_products"] > 0 for e in log[:-1])
+
+    def test_iteration_cap_raises(self, coarse_Xi, monkeypatch):
+        monkeypatch.setattr(monopole, "NEWTON_MAX_ITER", 2)
+        with pytest.raises(NonConvergence) as info:
+            newton_refine(coarse_Xi, 0.2)
+        assert (info.value.code, info.value.exit_code) == \
+            ("non_convergence", 2)
+        detail = info.value.detail
+        assert detail["residual"] == pytest.approx(1.68e-6, rel=1e-2)
+        assert [e["k"] for e in detail["log"]] == [0, 1]
         json.dumps(info.value.to_json(), allow_nan=False)
 
 

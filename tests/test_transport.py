@@ -10,7 +10,7 @@ from scipy.sparse.linalg import LinearOperator, cg
 
 import adiabat.transport
 from adiabat.braid import braid_construct, braid_permutation, braid_validate
-from adiabat.errors import AmbiguousMatch, SingularOperator
+from adiabat.errors import AmbiguousMatch, SingularOperator, TrackingLoss
 from adiabat.monopole import assemble_adiabatic
 from adiabat.topology import validate_mapping_class
 from adiabat.transport import (PsiOperator, VortexStack, apply_psi_operator,
@@ -313,8 +313,28 @@ class TestTransport:
     def test_moment_map_preserved(self):
         curve = FlatCurve(MU, 16)
         trace = transported(curve, smooth_family(), 0, 60)
-        assert trace.max_moment_residual() < 1e-6
+        assert max(s.moment_residual for s in trace.states) < 1e-6
         assert trace.final.t == 1.0
+
+    def test_six_halvings_lose_track(self):
+        """Eight steps on the spatial tau leave the moment map at t ~ 0.646
+        even after six halvings of the step."""
+        with pytest.raises(TrackingLoss) as info:
+            transported(FlatCurve(MU, 16), smooth_family(tau_profile), 0, 8)
+        assert (info.value.code, info.value.exit_code) == ("tracking_loss", 2)
+        detail = info.value.detail
+        assert detail["h"] == 1 / 512
+        assert detail["t"] == pytest.approx(0.646, abs=1e-3)
+        assert detail["residual"] > 1e-6
+
+    def test_rejects_a_start_off_the_moment_map(self):
+        curve = FlatCurve(MU, 16)
+        family = smooth_family()
+        start = vortex_seed(curve, family, 0)
+        with pytest.raises(TrackingLoss, match="start configuration "
+                           "violates the moment map") as info:
+            transport(curve, family, replace(start, Phi=1.1 * start.Phi), 8)
+        assert (info.value.code, info.value.exit_code) == ("tracking_loss", 2)
 
     def test_step_order_near_four(self):
         curve = FlatCurve(MU, 16)
@@ -377,9 +397,7 @@ class TestTransport:
     def test_trace_jsonl(self):
         curve = FlatCurve(MU, 16)
         trace = transported(curve, smooth_family(), 0, 20)
-        lines = trace.to_jsonl().splitlines()
-        assert len(lines) == len(trace.states)
-        first = json.loads(lines[0])
+        first = json.loads(trace.states[0].to_json())
         assert first["t"] == 0.0
 
 
@@ -396,6 +414,13 @@ class TestTransport:
         with pytest.raises(AmbiguousMatch):
             match_strands(family, [halfway, -c], 1)
         assert match_strands(family, [-a, -c], 1) == (0, 1)
+
+    def test_unmatched_holonomy_loses_track(self):
+        family = readme_family()
+        a, c = np.mod(-family.holonomies(0.0), 1.0)
+        with pytest.raises(TrackingLoss, match="matches no strand") as info:
+            match_strands(family, [-(a + 0.1), -c], 200)
+        assert (info.value.code, info.value.exit_code) == ("tracking_loss", 2)
 
 
 class TestNumericMonodromy:

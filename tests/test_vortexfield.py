@@ -8,7 +8,8 @@ from scipy.sparse.linalg import LinearOperator, cg
 
 import adiabat.vortexfield
 from adiabat.errors import HolonomyMismatch, NonConvergence
-from adiabat.vortexfield import (KW_CG_MAXITER, KW_CG_RTOL, Dolbeault,
+from adiabat.vortexfield import (KW_CG_MAXITER, KW_CG_RTOL,
+                                 TWIST_CACHE_SIZE, Dolbeault,
                                  FlatBundleFamily, FlatCurve,
                                  _kw_laplacian_symbol, d_scalar, d_star,
                                  hodge_star, integral,
@@ -215,6 +216,19 @@ class TestBatchedOperators:
         for idx in np.ndindex(3, 2):
             for got, want in zip(stacked, curve._twisted(twists[idx])):
                 assert np.array_equal(got[idx], want)
+
+    def test_twist_cache_drops_the_oldest(self):
+        """One twist more than the cache holds drops the first; built
+        again, its symbol is equal bit for bit."""
+        curve = FlatCurve(MU, self.n)
+        twists = [(k / 128, 0.25) for k in range(TWIST_CACHE_SIZE + 1)]
+        first = curve.lam(twists[0])
+        for t in twists[1:]:
+            curve.lam(t)
+        assert len(curve._twists) == TWIST_CACHE_SIZE
+        again = curve.lam(twists[0])
+        assert again is not first
+        assert np.array_equal(again, first)
 
 
 class TestVortexSolve:

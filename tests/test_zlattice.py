@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from adiabat.zlattice import (FinAbGroup, IntMatrix, cokernel,
-                              smith_normal_form, torsion_fixed_points)
+                              smith_normal_form)
 
 
 def random_int_matrix(rng, n, bound=5):
@@ -152,7 +152,7 @@ class TestTorsionFixedPoints:
             A = random_int_matrix(rng, 2, bound=4)
             if A.det() == 0:
                 continue
-            pts = torsion_fixed_points(A)
+            pts = cokernel(A).torsion_points()
             assert len(pts) == abs(A.det())
             coords = {tuple(x.coordinates) for x in pts}
             assert len(coords) == len(pts)
@@ -161,4 +161,4 @@ class TestTorsionFixedPoints:
 
     def test_singular_rejected(self):
         with pytest.raises(Exception):
-            torsion_fixed_points(IntMatrix.zero(2, 2))
+            cokernel(IntMatrix.zero(2, 2)).torsion_points()
