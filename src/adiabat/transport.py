@@ -19,7 +19,10 @@ forward 2D transform, and the phases touch only the right-hand side and
 the solution, whose last inverse transform also gives dbar_beta* Psi.
 Where rhs vanishes on the whole stack, as on a constant strand and on the
 inactive summands of a seed, Psi = 0 is the solution and no operator is
-built.
+built.  A stack with no section on a moving strand (one whose
+``HolonomyPath.constant`` is False) has rhs = 0 at every t, so its
+velocities vanish and the lift is the constant path: it is not integrated,
+and every state is its start, with Psi = 0.
 Integration is classical RK4 in the b = 0 gauge with substeps aligned to
 the family's breakpoints; the moment-map residual is the step acceptance
 criterion.  One integrator advances a stack of K starts of one family
@@ -343,6 +346,11 @@ def transport_stack(curve: FlatCurve, family: FlatBundleFamily,
     velocities at each new state are evaluated once: they give the state's
     ``psi`` and are the next step's k1.  At a breakpoint they are those of
     the next segment, evaluated at its start time.
+
+    If no start has a section on a moving strand, the stack is still: each
+    yielded state is its start, with its start residual and Psi = 0, at the
+    times the integration would take, and no step or Psi equation is
+    solved.
     """
     _check_steps(steps)
     if not tol > 0:
@@ -353,17 +361,24 @@ def transport_stack(curve: FlatCurve, family: FlatBundleFamily,
     if not np.all(res <= tol):
         raise TrackingLoss("start configuration violates the moment map",
                            residual=float(np.max(res)))
-    k1 = _velocities(stack, family, 0.0)
+    moving = [j for j, p in enumerate(family.paths) if not p.constant]
+    still = not stack.Phi[:, moving].any()
+    if still:
+        zero = np.zeros_like(stack.Phi)
+        k1 = _Velocity(np.zeros_like(stack.alpha), zero, zero)
+    else:
+        k1 = _velocities(stack, family, 0.0)
     yield _states(starts, 0.0, stack, res, k1.Psi)
     breaks = family.breaks()
     for t0, t1 in zip(breaks, breaks[1:]):
         sub = max(1, math.ceil(steps * (t1 - t0) - 1e-12))
         h = (t1 - t0) / sub
         for i in range(sub):
-            stack, res = _advance(stack, k1, family, tau_grid, t0 + i * h, h,
-                                  tol)
             t = t1 if i == sub - 1 else t0 + (i + 1) * h
-            k1 = _velocities(stack, family, t)
+            if not still:
+                stack, res = _advance(stack, k1, family, tau_grid, t0 + i * h,
+                                      h, tol)
+                k1 = _velocities(stack, family, t)
             yield _states(starts, t, stack, res, k1.Psi)
 
 

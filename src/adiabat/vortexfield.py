@@ -344,7 +344,13 @@ class Dolbeault:
 # ---------------------------------------------------------------------------
 
 class HolonomyPath:
-    """Lift of one strand's holonomy path to R^2, piecewise linear or smooth."""
+    """Lift of one strand's holonomy path to R^2, piecewise linear or smooth.
+
+    ``constant`` is True only where a constructor knows from its data that
+    the path stands still; a path given only by functions may move.
+    """
+
+    constant = False
 
     def __init__(self, eval_fn: Callable[[float], np.ndarray],
                  deriv_fn: Callable[[float], np.ndarray],
@@ -373,7 +379,9 @@ class HolonomyPath:
             i = min(max(i, 0), len(ts) - 2)
             return (xs[i + 1] - xs[i]) / (ts[i + 1] - ts[i])
 
-        return HolonomyPath(ev, dv, breaks=ts)
+        path = HolonomyPath(ev, dv, breaks=ts)
+        path.constant = bool(np.all(xs == xs[0]))
+        return path
 
     @staticmethod
     def trigonometric(a0, winding, amp=(0.0, 0.0)) -> "HolonomyPath":
@@ -388,7 +396,9 @@ class HolonomyPath:
         def dv(t):
             return w + math.cos(TWO_PI * t) * r
 
-        return HolonomyPath(ev, dv)
+        path = HolonomyPath(ev, dv)
+        path.constant = not (w.any() or r.any())
+        return path
 
 
 @dataclass

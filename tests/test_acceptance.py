@@ -17,7 +17,7 @@ from adiabat.braid import (braid_census, braid_construct, braid_permutation,
 from adiabat.monopole import (adiabatic_config, config_norm_diff,
                               config_update, dsw_apply, identity_check, ip3,
                               linearize_apply, newton_refine, quadratic_term,
-                              random_tangent, sw_map, weighted_norm)
+                              random_tangent, sw_map)
 from adiabat.topology import (count_large_d, jacobian_fixed_points,
                               validate_mapping_class)
 from adiabat.transport import numeric_monodromy, transported
@@ -192,8 +192,8 @@ def test_criterion_7_adiabatic_scaling():
     eps_list = [0.2, 0.1, 0.05]
     r0s, diffs = [], []
     for eps in eps_list:
-        r0s.append(weighted_norm(Xi0, sw_map(Xi0, eps), eps, 2, 0).value)
-        Xi_eps, _ = newton_refine(Xi0, eps)
+        Xi_eps, log = newton_refine(Xi0, eps)
+        r0s.append(log[0]["residual_0_2_eps"])
         diffs.append(config_norm_diff(Xi_eps, Xi0, eps, 2, 1).value)
     le = np.log(eps_list)
     s1 = float(np.polyfit(le, np.log(r0s), 1)[0])

@@ -251,8 +251,79 @@ def moving_family():
     return FlatBundleFamily.from_braid(b, tau_bar=2.0)
 
 
+def as_functions(family):
+    """The family with each path rebuilt from its functions alone, so that
+    no path is known to be constant and its transport integrates."""
+    return replace(family, paths=[HolonomyPath(p, p.deriv, p.breaks)
+                                  for p in family.paths])
+
+
 class TestStationary:
-    """Where the right-hand side c Phi vanishes, Psi = 0 with no solve."""
+    """Where the right-hand side c Phi vanishes, Psi = 0 with no solve, and
+    a stack whose sections sit only on constant strands takes no step."""
+
+    @pytest.mark.parametrize("path, constant", [
+        (HolonomyPath.piecewise_linear([(0, 0.3, 0.1), (0.5, 0.3, 0.1),
+                                        (1, 0.3, 0.1)]), True),
+        (HolonomyPath.piecewise_linear([(0, 0.3, 0.1), (0.5, 0.4, 0.1),
+                                        (1, 0.3, 0.1)]), False),
+        (HolonomyPath.trigonometric([0.3, 0.1], [0, 0]), True),
+        (smooth_family().paths[0], False),
+        (HolonomyPath(lambda t: (0.3, 0.1), lambda t: (0.0, 0.0)), False)])
+    def test_constant_paths(self, path, constant):
+        """Equal points or zero winding and amplitude make a constant path;
+        a moved point, a winding, or a path given only by functions may
+        move."""
+        assert path.constant is constant
+
+    @pytest.mark.parametrize("make, strands", [(readme_family, (0, 1)),
+                                               (moving_family, (0,))])
+    def test_still_stack_takes_no_step(self, monkeypatch, make, strands):
+        """(a) the README braid's two constant strands; (b) a K = 1 start
+        of the constant strand of a braid whose other strand moves.  Neither
+        calls ``_advance`` or ``_velocities``, and both yield steps + 1
+        states, each equal to its start and, at the same times, bit for
+        bit the states of the integrating loop on the same family given
+        by functions."""
+        curve = FlatCurve(MU, 8)
+        family = make()
+        starts = [vortex_seed(curve, family, k) for k in strands]
+        steps = 8
+        integrated = list(transport_stack(curve, as_functions(family),
+                                          starts, steps, 1e-6))
+
+        def refuse(*args):
+            raise AssertionError("a still stack was integrated")
+
+        monkeypatch.setattr(adiabat.transport, "_advance", refuse)
+        monkeypatch.setattr(adiabat.transport, "_velocities", refuse)
+        still = list(transport_stack(curve, family, starts, steps, 1e-6))
+        assert len(still) == len(integrated) == steps + 1
+        for got, want in zip(still, integrated):
+            for a, b, start in zip(got, want, starts):
+                assert a.t == b.t
+                assert a.moment_residual == b.moment_residual
+                for x, y, z in ((a.cfg.alpha, b.cfg.alpha, start.alpha),
+                                (a.cfg.Phi, b.cfg.Phi, start.Phi)):
+                    assert x.tobytes() == y.tobytes() == z.tobytes()
+                assert a.psi.tobytes() == b.psi.tobytes()
+                assert not a.psi.any()
+
+    def test_moving_section_is_integrated(self, monkeypatch):
+        """A stack that holds a section on a moving strand still advances."""
+        curve = FlatCurve(MU, 8)
+        family = moving_family()
+        starts = [vortex_seed(curve, family, k) for k in range(2)]
+        calls = []
+        original = adiabat.transport._advance
+
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(adiabat.transport, "_advance", counting)
+        final_states(curve, family, starts, 8, 1e-6)
+        assert len(calls) >= 8
 
     @pytest.mark.parametrize("make, strands", [(readme_family, (0, 1)),
                                                (moving_family, (0,))])
@@ -293,20 +364,6 @@ class TestStationary:
         Psi = aux_spinor(stack, family, 0.3)[0]
         assert calls == [stack.Phi.shape]
         assert not Psi[0].any() and Psi[1].any()
-
-    def test_readme_braid_transport_is_stationary(self):
-        """Every state of the README braid's transport equals its start,
-        bit for bit."""
-        curve = FlatCurve(MU, 8)
-        family = readme_family()
-        starts = [vortex_seed(curve, family, k) for k in range(2)]
-        n_states = 0
-        for states in transport_stack(curve, family, starts, 8, 1e-6):
-            n_states += 1
-            for start, state in zip(starts, states):
-                assert np.array_equal(state.cfg.alpha, start.alpha)
-                assert np.array_equal(state.cfg.Phi, start.Phi)
-        assert n_states == 9
 
 
 class TestTransport:
