@@ -28,8 +28,8 @@ from .braid import (TorusBraid, braid_census, braid_construct,
 from .vortexfield import (FlatBundleFamily, FlatCurve, invariant_modulus,
                           moment_residual, save_vortex_config, vortex_solve)
 from .transport import match_strands, transport_stack, vortex_seed
-from .monopole import (adiabatic_config, config_norm_diff, identity_check,
-                       newton_refine, save_config3d)
+from .monopole import (adiabatic_config, check_eps, config_norm_diff,
+                       identity_check, newton_refine, save_config3d)
 
 
 def parse_matrix(text: str) -> IntMatrix:
@@ -235,7 +235,7 @@ def _assemble(args):
 
 
 def cmd_newton(args) -> int:
-    eps_list = parse_floats(args.eps)
+    eps_list = [check_eps(eps) for eps in parse_floats(args.eps)]
     Xi0 = _assemble(args)
     rows = []
     for eps in eps_list:

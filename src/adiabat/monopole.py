@@ -29,7 +29,6 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, gmres
 
 from .errors import (Divergence, LinearSolveFailure, NonConvergence,
                      PeriodicityMismatch)
@@ -380,10 +379,23 @@ def adiabatic_residual(Xi: Config3D, eps: float = 1.0) -> float:
 # The five-row map and its linearization
 # ---------------------------------------------------------------------------
 
+def check_eps(eps: float) -> float:
+    """``eps``, if it is positive with eps^4 and 1/eps^4 finite and
+    nonzero (about 1e-77 < eps < 1e77); otherwise ValueError.  eps^4 is
+    the largest weight the norms take, eps^(2p) at p = 2.  Powers are
+    formed by products, which round to 0 or inf where ** would raise:
+    1e-300 squares to 0, 1e-160 to a subnormal whose inverse overflows."""
+    e2 = float(eps) * float(eps)
+    e4 = e2 * e2
+    if not (eps > 0 and 0 < e4 < math.inf and 1.0 / e4 < math.inf):
+        raise ValueError(f"eps must be positive with eps^4 and 1/eps^4 "
+                         f"finite and nonzero, got {eps!r}")
+    return eps
+
+
 def sw_map(Xi: Config3D, eps: float) -> Tangent3D:
     """Discrete evaluation of the rescaled equations; row 3 is zero."""
-    if eps <= 0:
-        raise ValueError("eps must be positive")
+    check_eps(eps)
     curve = Xi.curve
     ie2 = 1.0 / eps ** 2
     Adot = d_t(Xi, Xi.dev, "form") \
@@ -719,6 +731,19 @@ def forcing_term(res: float) -> float:
                FORCING_SAFEGUARD * NEWTON_TOL / res, GMRES_TOL)
 
 
+def _gmres(mv, pc, b: np.ndarray, rtol: float):
+    """Preconditioned GMRES on the packed Newton space, with ``mv`` the
+    operator and ``pc`` the preconditioner: (solution, scipy's info).
+    The one use of scipy, imported here so that a process that takes no
+    Newton step never loads it."""
+    from scipy.sparse.linalg import LinearOperator, gmres
+    shape = (len(b), len(b))
+    op = LinearOperator(shape, matvec=mv, dtype=float)
+    M = LinearOperator(shape, matvec=pc, dtype=float)
+    return gmres(op, b, rtol=rtol, atol=0.0, M=M, maxiter=GMRES_MAXITER,
+                 restart=60)
+
+
 def newton_refine(Xi0: Config3D, eps: float) -> Tuple[Config3D, List[Dict]]:
     """Gauge-fixed inexact Newton iteration from the adiabatic configuration.
 
@@ -743,8 +768,7 @@ def newton_refine(Xi0: Config3D, eps: float) -> Tuple[Config3D, List[Dict]]:
     log: List[Dict] = []
     prev = math.inf
     increases = 0
-    size = len(_pack(Tangent3D.zero(Xi0)))
-    symbol = _ModeSymbol(Xi0, eps)
+    symbol = _ModeSymbol(Xi0, check_eps(eps))
     for k in range(NEWTON_MAX_ITER + 1):
         R = sw_map(Xi, eps)
         res = weighted_norm(Xi, R, eps, 2, 0).value
@@ -781,10 +805,7 @@ def newton_refine(Xi0: Config3D, eps: float) -> Tuple[Config3D, List[Dict]]:
         def pc(vec):
             return _pack(symbol.precondition(_unpack(Xi_k, vec)))
 
-        op = LinearOperator((size, size), matvec=mv, dtype=float)
-        M = LinearOperator((size, size), matvec=pc, dtype=float)
-        sol, info = gmres(op, b, rtol=rtol, atol=0.0, M=M,
-                          maxiter=GMRES_MAXITER, restart=60)
+        sol, info = _gmres(mv, pc, b, rtol)
         if info != 0:
             raise LinearSolveFailure(
                 "GMRES did not converge (operator near-singular: eps too "
@@ -822,8 +843,12 @@ def random_tangent(Xi: Config3D, rng: np.random.Generator) -> Tangent3D:
         noise = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         kt = np.fft.fftfreq(Mt) * m
         ks = np.fft.fftfreq(n) * n
-        # hard truncation outside the band keeps products alias-free
-        damp_t = np.exp(-(kt / bt) ** 2) * (np.abs(kt) <= bt)
+        # the t band stops short of the Nyquist mode |kt| = m / 2 (inside
+        # bt for m <= 4): the spectral d_t of that mode is not the
+        # derivative of a smooth field, and the identities compose d_t
+        # with the other blocks
+        damp_t = np.exp(-(kt / bt) ** 2) * (np.abs(kt) <= bt) \
+            * (np.abs(kt) < m / 2)
         damp_s = np.exp(-(ks / max(bs, 1)) ** 2) * (np.abs(ks) <= bs)
         ft = noise * damp_t.reshape(-1, 1, 1, 1)
         ft = ft * damp_s.reshape(1, -1, 1, 1) * damp_s.reshape(1, 1, -1, 1)

@@ -3,6 +3,9 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
 import warnings
 
 import pytest
@@ -19,6 +22,9 @@ from adiabat.monopole import FORCING_MAX, GMRES_TOL
 from adiabat.vortexfield import FlatCurve, vortex_solve
 
 from tests.test_braid import even_winding_braid, odd_winding_braid
+
+# the directory the package under test is imported from
+SRC = os.path.dirname(os.path.dirname(adiabat.cli.__file__))
 
 
 @pytest.fixture()
@@ -475,6 +481,34 @@ class TestNumericalLayer:
         assert code == 0
         assert strict_json(out)["match"] is True
 
+    @pytest.mark.parametrize("slices", [1, 2, 3, 4])
+    def test_identities_at_round_off_on_few_slices(self, capsys,
+                                                   readme_braid, slices):
+        """On m <= 4 slices the t-Nyquist mode |k| = m / 2 lies inside the
+        random tangents' band unless it is cut; with it, identity2 read
+        0.31, 0.23, 0.16 and 0.11."""
+        code, out, err = run(capsys, ["check-identities", "--braid",
+                                      readme_braid, "--grid", "8",
+                                      "--slices", str(slices)])
+        assert code == 0, err
+        report = strict_json(out)
+        assert report["identity1"] < 1e-12
+        assert report["identity2"] < 1e-12
+
+    @pytest.mark.parametrize("eps", ["0", "1e-300", "1e-160", "1e300",
+                                     "1e80", "0.2,0"])
+    @pytest.mark.filterwarnings("error")
+    def test_newton_refuses_eps_out_of_range(self, capsys, braid_file, eps):
+        """An eps whose square or fourth power, or their inverse, rounds to
+        0 or inf exits 1 with strict JSON, before any refinement."""
+        code, out, err = run(capsys, ["newton", "--braid", braid_file,
+                                      "--grid", "8", "--slices", "4",
+                                      f"--eps={eps}"])
+        assert (code, out) == (1, "")
+        payload = strict_json(err)
+        assert payload["error"] == "ValueError"
+        assert "eps must be positive" in payload["message"]
+
     def test_newton_log_carries_gmres_counters(self, capsys, braid_file):
         code, out, _ = run(capsys, ["newton", "--braid", braid_file,
                                     "--grid", "8", "--slices", "8",
@@ -499,6 +533,56 @@ class TestNumericalLayer:
         # bounds here; tight thresholds are checked on smooth families
         for key in ("identity0", "identity1", "identity2"):
             assert 0 <= report[key] < 1.0
+
+
+# A fresh interpreter runs each argument vector through ``cli.main`` and
+# prints, per vector, the exit code and whether scipy.sparse is loaded.
+SCIPY_PROBE = """
+import contextlib, io, json, sys
+import adiabat.cli
+
+def probe(argv):
+    with contextlib.redirect_stdout(io.StringIO()), \\
+            contextlib.redirect_stderr(io.StringIO()):
+        code = adiabat.cli.main(argv)
+    return [code, "scipy.sparse" in sys.modules]
+
+print(json.dumps([probe(json.loads(a)) for a in sys.argv[1:]]))
+"""
+
+
+def test_scipy_loads_at_the_first_newton_step(tmp_path, braid_file):
+    """scipy is imported by the first GMRES solve and not before: the
+    README command sequence at its own sizes, whose newton converges at
+    k = 0, and a refused eps leave scipy.sparse unloaded; a newton that
+    takes a step loads it."""
+    targets, b = str(tmp_path / "targets.json"), str(tmp_path / "b.json")
+    with open(targets, "w") as fh:
+        json.dump([{"class": [0, 1], "count": 1},
+                   {"class": [1, 0], "count": 1}], fh)
+    readme = [
+        ["count", "--matrix", "2,1;1,1", "--rank", "2", "--degree", "3"],
+        ["fix", "--matrix=-1,0;0,-1", "--format", "csv"],
+        ["braid-make", "--matrix=-1,0;0,-1", "--rank", "2", "--targets",
+         targets, "--out", b],
+        ["braid-census", "--braid", b],
+        ["vortex", "--holonomies", "0.13,-0.21;-0.32,0.05", "--grid", "32",
+         "--tau", "2.0"],
+        ["transport", "--braid", b, "--grid", "16", "--tsteps", "200",
+         "--out", str(tmp_path / "tr.jsonl")],
+        ["newton", "--braid", b, "--grid", "12", "--slices", "16", "--eps",
+         "0.2"],
+        ["check-identities", "--braid", b, "--grid", "16", "--slices", "32"],
+    ]
+    stepping = ["newton", "--braid", braid_file, "--grid", "8", "--slices",
+                "8", "--eps", "0.2"]
+    argvs = readme + [stepping[:-1] + ["0"], stepping]
+    env = {**os.environ, "PYTHONPATH": SRC}
+    proc = subprocess.run([sys.executable, "-c", SCIPY_PROBE,
+                           *map(json.dumps, argvs)], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, check=True)
+    assert json.loads(proc.stdout) == \
+        [[0, False]] * len(readme) + [[1, False], [0, True]]
 
 
 # -- random argument vectors for the cheap subcommands ----------------------

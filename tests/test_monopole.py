@@ -1,6 +1,7 @@
 """Three-dimensional assembly, the epsilon-deformed map, and Newton descent."""
 
 import json
+import math
 import os
 from dataclasses import replace
 from fractions import Fraction
@@ -394,10 +395,26 @@ class TestNewton:
         assert detail["products"] == len(calls) > 0
         json.dumps(info.value.to_json(), allow_nan=False)
 
+    @pytest.mark.parametrize("eps", [0.0, -0.2, math.nan, math.inf, 1e-300,
+                                     1e-160, 1e-78, 1e80, 1e300])
+    @pytest.mark.filterwarnings("error")
+    def test_eps_out_of_range_refused(self, coarse_Xi, eps):
+        """eps must be positive with eps^4 and 1/eps^4 finite and nonzero:
+        1e-300 squares to 0 and 1e-160 to a subnormal whose inverse
+        overflows, and 1e300 ** 2 raises OverflowError."""
+        for fn in (newton_refine, sw_map):
+            with pytest.raises(ValueError, match="eps must be positive"):
+                fn(coarse_Xi, eps)
+
+    def test_eps_range_ends(self):
+        for eps in (1e-77, 1e76):
+            assert monopole.check_eps(eps) == eps
+
     def test_growing_residual_diverges(self, coarse_Xi, monkeypatch):
         """Steps of -4 times the right-hand side raise the residual twice;
         the error carries the log of the two steps taken."""
-        monkeypatch.setattr(monopole, "gmres", lambda op, b, **kw: (-4 * b, 0))
+        monkeypatch.setattr(monopole, "_gmres",
+                            lambda mv, pc, b, rtol: (-4 * b, 0))
         with pytest.raises(Divergence) as info:
             newton_refine(coarse_Xi, 0.2)
         assert (info.value.code, info.value.exit_code) == ("divergence", 2)
