@@ -732,16 +732,83 @@ def forcing_term(res: float) -> float:
 
 
 def _gmres(mv, pc, b: np.ndarray, rtol: float):
-    """Preconditioned GMRES on the packed Newton space, with ``mv`` the
-    operator and ``pc`` the preconditioner: (solution, scipy's info).
-    The one use of scipy, imported here so that a process that takes no
-    Newton step never loads it."""
-    from scipy.sparse.linalg import LinearOperator, gmres
-    shape = (len(b), len(b))
-    op = LinearOperator(shape, matvec=mv, dtype=float)
-    M = LinearOperator(shape, matvec=pc, dtype=float)
-    return gmres(op, b, rtol=rtol, atol=0.0, M=M, maxiter=GMRES_MAXITER,
-                 restart=60)
+    """Left-preconditioned GMRES (Saad & Schultz 1986) on the packed
+    Newton space, with ``mv`` the operator and ``pc`` the preconditioner:
+    (solution, info, residual).
+
+    The algorithm of scipy 1.17's ``gmres`` from zero, restarted every 60
+    products for at most GMRES_MAXITER cycles: modified Gram-Schmidt,
+    real Givens rotations, an inner tolerance ``ptol`` on the
+    preconditioned residual that each cycle's true residual retunes, and
+    success when that true residual is at most rtol |b|.  ``info`` is 0 on
+    success and the number of cycles run otherwise; ``residual`` is the
+    final relative true residual.  Inner products, norms and the update
+    go through ``np.einsum``, not BLAS, so the loop starts no OpenBLAS
+    threads.  A zero b returns zeros without a product.
+    """
+    def norm(u):
+        return math.sqrt(np.einsum("i,i->", u, u))
+
+    x = np.zeros_like(b)
+    bnorm = norm(b)
+    if bnorm == 0.0:
+        return x, 0, 0.0
+    atol = rtol * bnorm
+    restart = min(60, len(b))
+    tiny = np.finfo(float).eps
+    V = np.empty((restart + 1, len(b)))
+    H = np.zeros((restart, restart + 1))  # row j: column j of the Hessenberg
+    z = pc(b)
+    ptol_factor = 1.0
+    ptol = norm(z) * min(1.0, rtol)
+    for cycle in range(1, GMRES_MAXITER + 1):
+        g = np.zeros(restart + 1)
+        g[0] = norm(z)
+        V[0] = z * (1.0 / g[0])
+        rot = []  # (cos, sin) of each column's Givens rotation
+        breakdown = False
+        for j in range(restart):
+            w = pc(mv(V[j]))
+            h0 = norm(w)
+            for i in range(j + 1):
+                H[j, i] = np.einsum("i,i->", V[i], w)
+                w -= H[j, i] * V[i]
+            h1 = norm(w)
+            # an exactly invariant Krylov space: this column ends the cycle
+            breakdown = h1 <= tiny * h0
+            H[j, j + 1] = 0.0 if breakdown else h1
+            V[j + 1] = w if breakdown else w * (1.0 / h1)
+            for i, (c, s) in enumerate(rot):
+                H[j, i], H[j, i + 1] = (c * H[j, i] + s * H[j, i + 1],
+                                        c * H[j, i + 1] - s * H[j, i])
+            # the rotation zeroing H[j, j + 1], signed as LAPACK's dlartg
+            f, h = H[j, j], H[j, j + 1]
+            d = math.copysign(math.hypot(f, h), f)
+            c, s = (f / d, h / d) if d else (1.0, 0.0)
+            rot.append((c, s))
+            H[j, j], H[j, j + 1] = d, 0.0
+            g[j], g[j + 1] = c * g[j], -s * g[j]
+            presid = abs(g[j + 1])
+            if presid <= ptol or breakdown:
+                break
+        # back substitution on the triangle, skipping a zero pivot
+        y = g[:j + 1].copy()
+        if H[j, j] == 0.0:
+            y[j] = 0.0
+        for k in range(j, -1, -1):
+            if y[k] != 0.0:
+                y[k] /= H[k, k]
+                y[:k] -= y[k] * H[k, :k]
+        x += np.einsum("k,kn->n", y, V[:j + 1])
+        r = b - mv(x)
+        rnorm = norm(r)
+        if rnorm <= atol or breakdown:
+            break
+        ptol_factor = (max(tiny, 0.25 * ptol_factor) if presid <= ptol
+                       else min(1.0, 1.5 * ptol_factor))
+        ptol = presid * min(ptol_factor, atol / rnorm)
+        z = pc(r)
+    return x, (0 if rnorm <= atol else cycle), rnorm / bnorm
 
 
 def newton_refine(Xi0: Config3D, eps: float) -> Tuple[Config3D, List[Dict]]:
@@ -750,9 +817,9 @@ def newton_refine(Xi0: Config3D, eps: float) -> Tuple[Config3D, List[Dict]]:
     Each step solves D_eps(Xi_k) xi = (-R1, +R2, 0, -R4, +R5) for the
     current five-row residual R, enforcing the Coulomb-type gauge row by
     construction, and updates Xi.  Stops below NEWTON_TOL in the (0,2,eps)
-    norm; two consecutive residual increases abort with Divergence, and a
-    residual still above it after NEWTON_MAX_ITER steps raises
-    NonConvergence.
+    norm; a residual that is not finite and two consecutive residual
+    increases abort with Divergence before the next solve, and a residual
+    still above it after NEWTON_MAX_ITER steps raises NonConvergence.
 
     The step is inexact: preconditioned GMRES solves to the relative
     tolerance eta_k = ``forcing_term(r_k)`` (Eisenstat-Walker) of the
@@ -761,8 +828,9 @@ def newton_refine(Xi0: Config3D, eps: float) -> Tuple[Config3D, List[Dict]]:
     ``gmres_rtol`` (eta_k) and ``gmres_products`` (operator applications
     of the solve); a refinement that converges always ends its log with a
     closing entry, which solves nothing and has 0 for the last three.  A
-    GMRES failure raises LinearSolveFailure with the iteration, scipy's
-    ``info``, ``rtol``, the packed ``rhs_norm`` and ``products``.
+    GMRES failure raises LinearSolveFailure with the iteration, ``info``
+    (the cycles run), ``rtol``, the packed ``rhs_norm``, ``products`` and
+    ``residual``, the solve's final relative true residual.
     """
     Xi = Xi0
     log: List[Dict] = []
@@ -772,6 +840,9 @@ def newton_refine(Xi0: Config3D, eps: float) -> Tuple[Config3D, List[Dict]]:
     for k in range(NEWTON_MAX_ITER + 1):
         R = sw_map(Xi, eps)
         res = weighted_norm(Xi, R, eps, 2, 0).value
+        if not math.isfinite(res):
+            raise Divergence("Newton residual is not finite", log=log,
+                             residual=res)
         if res < NEWTON_TOL:
             log.append({"k": k, "residual_0_2_eps": res,
                         "increment_1_2_eps": 0.0, "gmres_rtol": 0.0,
@@ -784,8 +855,9 @@ def newton_refine(Xi0: Config3D, eps: float) -> Tuple[Config3D, List[Dict]]:
             increases += 1
             if increases >= 2:
                 raise Divergence(
-                    "residual increased twice (wall proximity or eps too "
-                    "large)", log=log, residual=res)
+                    "residual increased twice (wall proximity, eps too "
+                    "large, or a round-off floor at very small eps)",
+                    log=log, residual=res)
         else:
             increases = 0
         prev = res
@@ -805,13 +877,14 @@ def newton_refine(Xi0: Config3D, eps: float) -> Tuple[Config3D, List[Dict]]:
         def pc(vec):
             return _pack(symbol.precondition(_unpack(Xi_k, vec)))
 
-        sol, info = _gmres(mv, pc, b, rtol)
+        sol, info, residual = _gmres(mv, pc, b, rtol)
         if info != 0:
             raise LinearSolveFailure(
                 "GMRES did not converge (operator near-singular: eps too "
-                "large or wall proximity)", info=int(info), iteration=k,
-                rtol=rtol, rhs_norm=float(np.linalg.norm(b)),
-                products=products)
+                "large or wall proximity; or a round-off floor at very "
+                "small eps)", info=int(info), iteration=k, rtol=rtol,
+                rhs_norm=float(np.linalg.norm(b)), products=products,
+                residual=float(residual))
         xi = _unpack(Xi, sol)
         inc = weighted_norm(Xi, xi, eps, 2, 1).value
         log.append({"k": k, "residual_0_2_eps": res,

@@ -551,11 +551,10 @@ print(json.dumps([probe(json.loads(a)) for a in sys.argv[1:]]))
 """
 
 
-def test_scipy_loads_at_the_first_newton_step(tmp_path, braid_file):
-    """scipy is imported by the first GMRES solve and not before: the
-    README command sequence at its own sizes, whose newton converges at
-    k = 0, and a refused eps leave scipy.sparse unloaded; a newton that
-    takes a step loads it."""
+def test_no_command_loads_scipy(tmp_path, braid_file):
+    """No command loads scipy.sparse: not the README command sequence at
+    its own sizes, whose newton converges at k = 0, not a refused eps, and
+    not a newton that takes GMRES steps."""
     targets, b = str(tmp_path / "targets.json"), str(tmp_path / "b.json")
     with open(targets, "w") as fh:
         json.dump([{"class": [0, 1], "count": 1},
@@ -582,7 +581,7 @@ def test_scipy_loads_at_the_first_newton_step(tmp_path, braid_file):
                            *map(json.dumps, argvs)], cwd=tmp_path, env=env,
                           capture_output=True, text=True, check=True)
     assert json.loads(proc.stdout) == \
-        [[0, False]] * len(readme) + [[1, False], [0, True]]
+        [[0, False]] * len(readme) + [[1, False], [0, False]]
 
 
 # -- random argument vectors for the cheap subcommands ----------------------

@@ -393,6 +393,7 @@ class TestNewton:
         assert detail["rtol"] == FORCING_MAX
         assert detail["rhs_norm"] > 0
         assert detail["products"] == len(calls) > 0
+        assert FORCING_MAX < detail["residual"] < math.inf
         json.dumps(info.value.to_json(), allow_nan=False)
 
     @pytest.mark.parametrize("eps", [0.0, -0.2, math.nan, math.inf, 1e-300,
@@ -414,13 +415,29 @@ class TestNewton:
         """Steps of -4 times the right-hand side raise the residual twice;
         the error carries the log of the two steps taken."""
         monkeypatch.setattr(monopole, "_gmres",
-                            lambda mv, pc, b, rtol: (-4 * b, 0))
+                            lambda mv, pc, b, rtol: (-4 * b, 0, 0.0))
         with pytest.raises(Divergence) as info:
             newton_refine(coarse_Xi, 0.2)
         assert (info.value.code, info.value.exit_code) == ("divergence", 2)
         log = info.value.detail["log"]
         assert [e["k"] for e in log] == [0, 1]
         assert log[1]["residual_0_2_eps"] > log[0]["residual_0_2_eps"]
+
+    def test_non_finite_residual_diverges_before_any_solve(self, coarse_Xi,
+                                                           monkeypatch):
+        """A NaN in Phi makes the first residual NaN: Divergence at k = 0
+        with an empty log, and no GMRES solve."""
+        def no_solve(*args):
+            raise AssertionError("GMRES called on a non-finite residual")
+
+        monkeypatch.setattr(monopole, "_gmres", no_solve)
+        Phi = coarse_Xi.Phi.copy()
+        Phi[0, 0, 0, 0] = np.nan
+        with pytest.raises(Divergence, match="not finite") as info:
+            newton_refine(replace(coarse_Xi, Phi=Phi), 0.2)
+        assert info.value.detail["log"] == []
+        assert math.isnan(info.value.detail["residual"])
+        json.dumps(info.value.to_json(), allow_nan=False)
 
     def test_converging_on_the_last_step_closes_the_log(self, coarse_Xi,
                                                         monkeypatch):
@@ -443,6 +460,82 @@ class TestNewton:
         assert detail["residual"] == pytest.approx(1.68e-6, rel=1e-2)
         assert [e["k"] for e in detail["log"]] == [0, 1]
         json.dumps(info.value.to_json(), allow_nan=False)
+
+
+def counted(fn, calls):
+    """``fn`` appending to ``calls`` at each call."""
+    def wrapped(vec):
+        calls.append(1)
+        return fn(vec)
+    return wrapped
+
+
+class TestGmres:
+    """``monopole._gmres`` against scipy's ``gmres``, the algorithm it
+    ports, with the same restart, cycle cap and tolerances."""
+
+    @staticmethod
+    def scipy_gmres(mv, pc, b, rtol):
+        from scipy.sparse.linalg import LinearOperator, gmres
+        shape = (len(b), len(b))
+        return gmres(LinearOperator(shape, matvec=mv, dtype=float), b,
+                     rtol=rtol, atol=0.0, restart=60,
+                     M=LinearOperator(shape, matvec=pc, dtype=float),
+                     maxiter=monopole.GMRES_MAXITER)
+
+    def test_matches_scipy_on_the_newton_systems(self, coarse_Xi,
+                                                 monkeypatch):
+        """Each step's system of the n = 8, m = 8 refinement at eps 0.2,
+        solved by both while the step's operator is current: the same
+        solution to 1e-10 and the same products to within one."""
+        solves = []
+        original = monopole._gmres
+
+        def compared(mv, pc, b, rtol):
+            ours, theirs = [], []
+            out = original(counted(mv, ours), pc, b, rtol)
+            ref = self.scipy_gmres(counted(mv, theirs), pc, b, rtol)
+            solves.append((out, ref, rtol, len(ours), len(theirs)))
+            return out
+
+        monkeypatch.setattr(monopole, "_gmres", compared)
+        newton_refine(coarse_Xi, 0.2)
+        assert len(solves) == 3
+        for (x, info, residual), (ref, ref_info), rtol, ours, theirs \
+                in solves:
+            assert info == ref_info == 0
+            assert residual <= rtol
+            assert np.linalg.norm(x - ref) <= 1e-10 * np.linalg.norm(ref)
+            assert abs(ours - theirs) <= 1
+
+    def test_restarts_on_a_dense_nonsymmetric_system(self):
+        """n = 200 with eigenvalues spread over [1, 100]: more than one
+        60-product cycle reaches rtol, as scipy does."""
+        rng = np.random.default_rng(0)
+        n, rtol = 200, 1e-10
+        A = np.diag(np.linspace(1.0, 100.0, n)) \
+            + rng.standard_normal((n, n)) / math.sqrt(n)
+        b = rng.standard_normal(n)
+        calls = []
+        x, info, residual = monopole._gmres(counted(lambda v: A @ v, calls),
+                                            lambda v: v, b, rtol)
+        assert info == 0
+        assert len(calls) > 61
+        assert np.linalg.norm(b - A @ x) <= rtol * np.linalg.norm(b)
+        assert residual == pytest.approx(
+            np.linalg.norm(b - A @ x) / np.linalg.norm(b), rel=1e-6)
+        ref, ref_info = self.scipy_gmres(lambda v: A @ v, lambda v: v, b,
+                                         rtol)
+        assert ref_info == 0
+        assert np.linalg.norm(x - ref) <= 1e-8 * np.linalg.norm(ref)
+
+    def test_zero_rhs_takes_no_product(self):
+        def never(vec):
+            raise AssertionError("no product for a zero right-hand side")
+
+        x, info, residual = monopole._gmres(never, never, np.zeros(12), 1e-8)
+        assert (info, residual) == (0, 0.0)
+        assert np.array_equal(x, np.zeros(12))
 
 
 class TestSerialization:
