@@ -14,8 +14,7 @@ import time
 import numpy as np
 
 from adiabat.cli import parse_floats, report_errors
-from adiabat.monopole import (adiabatic_config, config_norm_diff,
-                              newton_refine)
+from adiabat.monopole import adiabatic_config, refine_ladder
 from adiabat.vortexfield import FlatCurve, smooth_family
 
 
@@ -34,17 +33,15 @@ def main():
     Xi0 = adiabatic_config(FlatCurve(0.2 + 1.0j, args.grid), smooth_family(),
                            args.slices, args.tsteps)
     r0s, diffs = [], []
-    for eps in eps_list:
-        t0 = time.time()
-        Xi_eps, log = newton_refine(Xi0, eps)
-        r0 = log[0]["residual_0_2_eps"]
-        diff = config_norm_diff(Xi_eps, Xi0, eps, 2, 1).value
-        r0s.append(r0)
-        diffs.append(diff)
-        print(json.dumps({"eps": eps, "residual_0_2_eps": r0,
-                          "distance_1_2_eps": diff,
-                          "newton_iterations": len(log),
+    t0 = time.time()
+    for row, _ in refine_ladder(Xi0, eps_list):
+        r0s.append(row["residual_0_2_eps"])
+        diffs.append(row["distance_1_2_eps"])
+        print(json.dumps({"eps": row["eps"], "residual_0_2_eps": r0s[-1],
+                          "distance_1_2_eps": diffs[-1],
+                          "newton_iterations": len(row["iterations"]),
                           "seconds": round(time.time() - t0, 1)}))
+        t0 = time.time()
     le = np.log(eps_list)
     s1 = np.polyfit(le, np.log(r0s), 1)[0]
     s2 = np.polyfit(le, np.log(diffs), 1)[0]

@@ -12,16 +12,9 @@ import json
 import sys
 import time
 
-import numpy as np
-
 from adiabat.cli import report_errors
 from adiabat.monopole import adiabatic_config, identity_check
-from adiabat.vortexfield import FlatCurve, smooth_family
-
-
-def tau_profile(X, Y):
-    return 2.0 + 0.5 * np.cos(2 * np.pi * X) * np.sin(2 * np.pi * Y) \
-        + 0.3 * np.sin(2 * np.pi * X)
+from adiabat.vortexfield import FlatCurve, smooth_family, tau_profile
 
 
 def main():

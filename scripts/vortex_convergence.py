@@ -14,12 +14,8 @@ import time
 import numpy as np
 
 from adiabat.cli import report_errors
-from adiabat.vortexfield import FlatCurve, moment_residual, vortex_solve
-
-
-def tau_profile(X, Y):
-    return 2.0 + 0.5 * np.cos(2 * np.pi * X) * np.sin(2 * np.pi * Y) \
-        + 0.3 * np.sin(2 * np.pi * X)
+from adiabat.vortexfield import (FlatCurve, moment_residual, tau_profile,
+                                 vortex_solve)
 
 
 def main():

@@ -28,8 +28,8 @@ from .braid import (TorusBraid, braid_census, braid_construct,
 from .vortexfield import (FlatBundleFamily, FlatCurve, invariant_modulus,
                           moment_residual, save_vortex_config, vortex_solve)
 from .transport import match_strands, transport_stack, vortex_seed
-from .monopole import (adiabatic_config, check_eps, config_norm_diff,
-                       identity_check, newton_refine, save_config3d)
+from .monopole import (adiabatic_config, check_eps, identity_check,
+                       refine_ladder, save_config3d)
 
 
 def parse_matrix(text: str) -> IntMatrix:
@@ -236,16 +236,11 @@ def _assemble(args):
 
 def cmd_newton(args) -> int:
     eps_list = [check_eps(eps) for eps in parse_floats(args.eps)]
-    Xi0 = _assemble(args)
     rows = []
-    for eps in eps_list:
-        Xi_eps, log = newton_refine(Xi0, eps)
-        diff = config_norm_diff(Xi_eps, Xi0, eps, 2, 1).value
-        rows.append({"eps": eps,
-                     "residual_0_2_eps": log[0]["residual_0_2_eps"],
-                     "distance_1_2_eps": diff, "iterations": log})
+    for row, Xi_eps in refine_ladder(_assemble(args), eps_list):
+        rows.append(row)
         if args.out:
-            save_config3d(f"{args.out}_eps{eps:g}", Xi_eps, eps)
+            save_config3d(f"{args.out}_eps{row['eps']:g}", Xi_eps, row["eps"])
     _emit(_json(rows), None)
     return 0
 

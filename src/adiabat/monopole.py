@@ -26,7 +26,7 @@ import json
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -153,16 +153,12 @@ class SeamGluing:
 
 @dataclass
 class Config3D:
-    curve: FlatCurve
-    family: FlatBundleFamily
-    m: int
     dev: np.ndarray            # (m, 2, n, n) iR-valued 1-form deviation
     Phi: np.ndarray            # (m, N, n, n)
     V: np.ndarray              # (m, n, n) iR-valued
     b: np.ndarray              # (m, n, n) iR-valued
     Psi: np.ndarray            # (m, N, n, n)
-    seam: SeamGluing
-    twists: np.ndarray         # (N, 2)
+    seam: SeamGluing           # with the curve and the (N, 2) twists
     cq: np.ndarray             # (m, N) flat dbar deviation constants
     aref_dot: np.ndarray       # (m, 2) active-strand velocity
     tau_grid: np.ndarray       # (n, n)
@@ -172,7 +168,15 @@ class Config3D:
 
     def __post_init__(self):
         q = _q_of(self, self.dev)[:, None] + self.cq[:, :, None, None]
-        self.dbar = Dolbeault(self.curve, self.twists, q)
+        self.dbar = Dolbeault(self.curve, self.seam.twists, q)
+
+    @property
+    def curve(self) -> FlatCurve:
+        return self.seam.curve
+
+    @property
+    def m(self) -> int:
+        return len(self.dev)
 
     @property
     def N(self) -> int:
@@ -296,8 +300,7 @@ def assemble_adiabatic(trace: TransportTrace, family: FlatBundleFamily,
     curve = trace.states[0].cfg.curve
     if k0 is None:
         k0 = trace.states[0].cfg.k
-    twists = trace.states[0].cfg.twists
-    seam = build_seam(curve, family, k0, twists)
+    seam = build_seam(curve, family, k0, trace.states[0].cfg.twists)
     N, n = family.N, curve.n
     base = family.base_holonomies
     dev = np.empty((m, 2, n, n), complex)
@@ -320,11 +323,9 @@ def assemble_adiabatic(trace: TransportTrace, family: FlatBundleFamily,
         da = (hol - base) - (hol[k0] - base[k0])
         cq[i] = 2j * math.pi * form_q(curve, da[:, 0], da[:, 1])
         aref_dot[i] = family.paths[k0].deriv(t)
-    Xi = Config3D(curve=curve, family=family, m=m, dev=dev, Phi=Phi,
-                  V=np.zeros((m, n, n), complex),
-                  b=np.zeros((m, n, n), complex), Psi=Psi, seam=seam,
-                  twists=twists, cq=cq, aref_dot=aref_dot,
-                  tau_grid=_tau_grid(curve, family.tau()))
+    Xi = Config3D(dev=dev, Phi=Phi, V=np.zeros((m, n, n), complex),
+                  b=np.zeros((m, n, n), complex), Psi=Psi, seam=seam, cq=cq,
+                  aref_dot=aref_dot, tau_grid=_tau_grid(curve, family.tau()))
     # seam closure: the t = 1 trace state must be U(slice 0)
     end = trace.states[-1]
     if abs(end.t - 1.0) > 1e-9:
@@ -502,7 +503,7 @@ class _ModeSymbol:
     unfolding: a 4x4 symbol A4 on (p, q, v, c), a = p dz + q dzbar, and a
     2x2 symbol A2 on each (phi_j, psi_j).  ``apply`` multiplies by them,
     ``precondition`` (the Newton preconditioner) by their ``_inverse``.
-    Only the curve, the slices, the seam and the twists are read.
+    Only the curve, the slices and the seam with its twists are read.
     """
 
     def __init__(self, Xi: Config3D, eps: float):
@@ -533,7 +534,7 @@ class _ModeSymbol:
     def _map(self, xi: Tangent3D, S4: np.ndarray,
              S2: np.ndarray) -> Tangent3D:
         Xi = self.Xi
-        curve, m, tw = Xi.curve, Xi.m, Xi.twists
+        curve, m, tw = Xi.curve, Xi.m, Xi.seam.twists
         # unfold in t and transform all fields to mode space
         p, q = form_pq(curve, _extend(Xi, xi.a, "form"))
         vec4 = np.stack([p, q, _extend(Xi, xi.v, "scalar"),
@@ -893,6 +894,20 @@ def newton_refine(Xi0: Config3D, eps: float) -> Tuple[Config3D, List[Dict]]:
         Xi = config_update(Xi, xi)
 
 
+def refine_ladder(Xi0: Config3D, eps_list: Sequence[float]
+                  ) -> Iterator[Tuple[Dict, Config3D]]:
+    """For each eps in order, ``newton_refine(Xi0, eps)`` as (row, Xi_eps):
+    the row holds ``eps``, the start residual ``residual_0_2_eps`` (the
+    log's first entry), the (1, 2, eps) distance ``distance_1_2_eps`` from
+    Xi0 and the log ``iterations``.  One refined configuration is alive at
+    a time."""
+    for eps in eps_list:
+        Xi_eps, log = newton_refine(Xi0, eps)
+        dist = config_norm_diff(Xi_eps, Xi0, eps, 2, 1).value
+        yield ({"eps": eps, "residual_0_2_eps": log[0]["residual_0_2_eps"],
+                "distance_1_2_eps": dist, "iterations": log}, Xi_eps)
+
+
 # ---------------------------------------------------------------------------
 # Appendix identities
 # ---------------------------------------------------------------------------
@@ -938,7 +953,7 @@ def random_tangent(Xi: Config3D, rng: np.random.Generator) -> Tangent3D:
             acc += cur
         return acc[:m] / R
 
-    tw = Xi.curve.twist_phase(Xi.twists)
+    tw = Xi.curve.twist_phase(Xi.seam.twists)
     a = 1j * np.imag(equivariant("form", smooth(2)))
     v = 1j * np.imag(equivariant("scalar", smooth(1)[:, 0]))
     c = 1j * np.imag(equivariant("scalar", smooth(1)[:, 0]))
@@ -1041,7 +1056,7 @@ def save_config3d(prefix: str, Xi: Config3D, eps: float) -> List[str]:
         "n": Xi.curve.n,
         "modulus": [Xi.curve.modulus.real, Xi.curve.modulus.imag],
         "area": Xi.curve.area,
-        "twists": Xi.twists.tolist(),
+        "twists": Xi.seam.twists.tolist(),
     }
     for i in range(Xi.m):
         t = i / Xi.m
@@ -1053,7 +1068,7 @@ def save_config3d(prefix: str, Xi: Config3D, eps: float) -> List[str]:
             written.append(path)
     manifest = {
         "m": Xi.m, "eps": eps,
-        "fstar": Xi.family.mc.fstar.to_lists(),
+        "fstar": Xi.seam.C.T.tolist(),  # C = F^T holds integers
         "seam_gauge": Xi.seam.gauge.tolist(),
         "files": written,
     }

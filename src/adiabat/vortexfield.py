@@ -424,10 +424,15 @@ class FlatBundleFamily:
     def validate(self):
         if len(self.paths) != self.N:
             raise ValueError("need one path per summand")
+        # (N, 2, 2): the start and end of each path; a NaN would pass the
+        # distance test below
+        ends = np.array([(p(0.0), p(1.0)) for p in self.paths])
+        if not np.all(np.isfinite(ends)):
+            raise ValueError("holonomy path endpoints must be finite")
         F = np.array(self.mc.fstar.to_lists(), float)
         for k in range(self.N):
-            end = F @ self.paths[k](1.0)
-            start = self.paths[self.closing_permutation[k]](0.0)
+            end = F @ ends[k, 1]
+            start = ends[self.closing_permutation[k], 0]
             if toroidal_distance(start, end) > 1e-9:
                 raise EndpointMismatch(
                     f"path {k}: closing does not match f* endpoint mod Z^2",
@@ -473,6 +478,13 @@ def smooth_family(tau_spatial: Optional[Callable] = None) -> FlatBundleFamily:
     return FlatBundleFamily(N=1, mc=mc, closing_permutation=(0,),
                             paths=[path], tau_bar=2.0,
                             tau_spatial=tau_spatial)
+
+
+def tau_profile(X, Y):
+    """The spatial tau that the tests and studies give ``smooth_family``
+    where tau varies: mean 2 and at least 1.2."""
+    return 2.0 + 0.5 * np.cos(2 * np.pi * X) * np.sin(2 * np.pi * Y) \
+        + 0.3 * np.sin(2 * np.pi * X)
 
 
 # ---------------------------------------------------------------------------
@@ -630,16 +642,25 @@ def vortex_solve(curve: FlatCurve, holonomies, k: int, tau):
     ``holonomies`` are the a_j at the current parameter time; the line
     bundle holonomy is zeta0 = -a_k so summand k carries a holomorphic
     section (zero total twist).  Returns (VortexConfig, newton increments).
+    Holonomies that are not finite, and a tau with a grid value beyond
+    max_float / (2 n^2) in size (about 1.4e306 at n = 8) or a mean that is
+    not positive, raise ValueError.
     """
     hol = np.atleast_2d(np.asarray(holonomies, float))
+    if not np.all(np.isfinite(hol)):
+        raise ValueError("holonomies must be finite")
     if not 0 <= k < len(hol):
         raise ValueError("active summand index out of range")
     zeta0 = wrap_twist(-hol[k])
     tau_g = _tau_grid(curve, tau)
-    tau_bar = float(np.mean(tau_g))
-    if not (np.all(np.isfinite(tau_g)) and tau_bar > 0):
-        raise ValueError("need finite tau and d - tau_bar < 0: with d = 0, "
-                         "tau_bar must be positive")
+    # the mean sums the n^2 grid values and Kazdan-Warner starts from
+    # log(2 tau_bar): both stay finite when every |tau| is at most
+    # max_float / (2 n^2), tested before anything is summed; NaN fails it
+    bound = np.finfo(float).max / (2 * tau_g.size)
+    if not (np.all(np.abs(tau_g) <= bound) and np.mean(tau_g) > 0):
+        raise ValueError(f"need |tau| <= {bound:.3g} on this grid and "
+                         "d - tau_bar < 0: with d = 0, tau_bar must be "
+                         "positive")
     u, increments = _kw_newton(curve, tau_g)
     twists = wrap_twist(hol + zeta0[None])
     Phi = np.zeros((len(hol), curve.n, curve.n), complex)

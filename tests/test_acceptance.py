@@ -14,15 +14,15 @@ import numpy as np
 
 from adiabat.braid import (braid_census, braid_construct, braid_permutation,
                            braid_validate)
-from adiabat.monopole import (adiabatic_config, config_norm_diff,
-                              config_update, dsw_apply, identity_check, ip3,
-                              linearize_apply, newton_refine, quadratic_term,
-                              random_tangent, sw_map)
+from adiabat.monopole import (adiabatic_config, config_update, dsw_apply,
+                              identity_check, ip3, linearize_apply,
+                              quadratic_term, random_tangent, refine_ladder,
+                              sw_map)
 from adiabat.topology import (count_large_d, jacobian_fixed_points,
                               validate_mapping_class)
 from adiabat.transport import numeric_monodromy, transported
 from adiabat.vortexfield import (FlatBundleFamily, FlatCurve, smooth_family,
-                                 vortex_solve)
+                                 tau_profile, vortex_solve)
 from adiabat.zlattice import IntMatrix, cokernel
 
 from tests.test_braid import even_winding_braid, odd_winding_braid
@@ -41,11 +41,6 @@ def record(num, ok, detail):
 def assemble(n, slices, tsteps, tau_spatial=None):
     return adiabatic_config(FlatCurve(MU, n), smooth_family(tau_spatial),
                             slices, tsteps)
-
-
-def tau_profile(X, Y):
-    return 2.0 + 0.5 * np.cos(2 * np.pi * X) * np.sin(2 * np.pi * Y) \
-        + 0.3 * np.sin(2 * np.pi * X)
 
 
 def test_criterion_1_fixed_point_census():
@@ -190,11 +185,9 @@ def test_criterion_7_adiabatic_scaling():
     t0 = time.perf_counter()
     Xi0 = assemble(16, 32, 256)
     eps_list = [0.2, 0.1, 0.05]
-    r0s, diffs = [], []
-    for eps in eps_list:
-        Xi_eps, log = newton_refine(Xi0, eps)
-        r0s.append(log[0]["residual_0_2_eps"])
-        diffs.append(config_norm_diff(Xi_eps, Xi0, eps, 2, 1).value)
+    rows = [row for row, _ in refine_ladder(Xi0, eps_list)]
+    r0s = [row["residual_0_2_eps"] for row in rows]
+    diffs = [row["distance_1_2_eps"] for row in rows]
     le = np.log(eps_list)
     s1 = float(np.polyfit(le, np.log(r0s), 1)[0])
     s2 = float(np.polyfit(le, np.log(diffs), 1)[0])

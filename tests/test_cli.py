@@ -509,6 +509,26 @@ class TestNumericalLayer:
         assert payload["error"] == "ValueError"
         assert "eps must be positive" in payload["message"]
 
+    @pytest.mark.parametrize("command", ["vortex", "newton"])
+    @pytest.mark.parametrize("tau, code", [("1e308", 1), ("5e307", 1),
+                                           ("1e300", 2)])
+    @pytest.mark.filterwarnings("error")
+    def test_huge_tau(self, capsys, braid_file, command, tau, code):
+        """A tau whose grid mean or 2 tau_bar could overflow exits 1
+        before numpy sums it; 1e300 is within the bound at grid 8 and
+        still exits 2 when the Kazdan-Warner solve breaks down."""
+        args = (["--holonomies", "0.1,0.2"] if command == "vortex" else
+                ["--braid", braid_file, "--slices", "4", "--eps", "0.2"])
+        got, out, err = run(capsys, [command, *args, "--grid", "8",
+                                     f"--tau={tau}"])
+        assert (got, out) == (code, "")
+        payload = strict_json(err)
+        if code == 1:
+            assert payload["error"] == "ValueError"
+            assert "need |tau| <=" in payload["message"]
+        else:
+            assert payload["error"] == "non_convergence"
+
     def test_newton_log_carries_gmres_counters(self, capsys, braid_file):
         code, out, _ = run(capsys, ["newton", "--braid", braid_file,
                                     "--grid", "8", "--slices", "8",

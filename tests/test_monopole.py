@@ -3,7 +3,7 @@
 import json
 import math
 import os
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import numpy as np
@@ -13,14 +13,15 @@ from adiabat import monopole
 from adiabat.braid import TorusBraid, braid_construct
 from adiabat.errors import (Divergence, LinearSolveFailure,
                             NonConvergence, PeriodicityMismatch)
-from adiabat.monopole import (FORCING_MAX, GMRES_TOL, NEWTON_TOL, SeamGluing,
-                              Tangent3D, adiabatic_config,
+from adiabat.monopole import (FORCING_MAX, GMRES_TOL, NEWTON_TOL, Config3D,
+                              SeamGluing, Tangent3D, adiabatic_config,
                               adiabatic_residual, assemble_adiabatic,
                               build_seam, config_norm_diff,
                               config_update, dsw_apply, identity_check, ip3,
                               linearize_apply,
                               newton_refine, quadratic_term, random_tangent,
-                              save_config3d, sw_map, weighted_norm)
+                              refine_ladder, save_config3d, sw_map,
+                              weighted_norm)
 from adiabat.topology import validate_mapping_class
 from adiabat.transport import transported, vortex_seed
 from adiabat.vortexfield import (FlatBundleFamily, FlatCurve, HolonomyPath,
@@ -150,6 +151,15 @@ def counting_products(monkeypatch):
 class TestAssembly:
     def test_assembly_residual_small(self, Xi):
         assert adiabatic_residual(Xi, 0.2) < 1e-6
+
+    def test_curve_and_twists_come_from_the_seam(self, Xi):
+        """A configuration holds no copy of its seam's curve and twists."""
+        init = [f.name for f in fields(Config3D) if f.init]
+        assert init == ["dev", "Phi", "V", "b", "Psi", "seam", "cq",
+                        "aref_dot", "tau_grid"]
+        assert Xi.curve is Xi.seam.curve
+        assert Xi.m == len(Xi.dev) == 16
+        assert np.array_equal(Xi.dbar.twists, Xi.seam.twists)
 
     def test_rejects_no_slices(self):
         family = smooth_family()
@@ -450,6 +460,21 @@ class TestNewton:
         assert log[-1]["gmres_products"] == 0
         assert all(e["gmres_products"] > 0 for e in log[:-1])
 
+    def test_refine_ladder_rows(self, coarse_Xi):
+        """The ladder refines at each eps in order; a row's residual is its
+        log's first entry and its distance that of the configuration it
+        yields."""
+        ladder = list(refine_ladder(coarse_Xi, [0.2, 0.1]))
+        assert [row["eps"] for row, _ in ladder] == [0.2, 0.1]
+        for row, Xi_eps in ladder:
+            eps, log = row["eps"], row["iterations"]
+            assert set(row) == {"eps", "residual_0_2_eps",
+                                "distance_1_2_eps", "iterations"}
+            assert row["residual_0_2_eps"] == log[0]["residual_0_2_eps"]
+            assert log[-1]["residual_0_2_eps"] < NEWTON_TOL
+            assert row["distance_1_2_eps"] == \
+                config_norm_diff(Xi_eps, coarse_Xi, eps, 2, 1).value > 0
+
     def test_iteration_cap_raises(self, coarse_Xi, monkeypatch):
         monkeypatch.setattr(monopole, "NEWTON_MAX_ITER", 2)
         with pytest.raises(NonConvergence) as info:
@@ -539,15 +564,22 @@ class TestGmres:
 
 
 class TestSerialization:
-    def test_save_config3d(self, Xi, tmp_path):
+    def test_save_config3d(self, Xi, moving_strand_configs, tmp_path):
         files = save_config3d(str(tmp_path / "xi"), Xi, eps=0.2)
         assert len(files) >= 1
         for f in files:
             assert os.path.exists(f)
         with open(files[0] + ".json") as fh:
             sidecar = json.load(fh)
-        assert sidecar["twists"] == Xi.twists.tolist()
+        assert sidecar["twists"] == Xi.seam.twists.tolist()
         assert "holonomies" not in sidecar
+        # f* of order 4 is not its own transpose, which f* = +-1 would be
+        order4 = moving_strand_configs["order4"]
+        save_config3d(str(tmp_path / "o4"), order4, eps=0.2)
+        with open(tmp_path / "o4.manifest.json") as fh:
+            manifest = json.load(fh)
+        assert manifest["fstar"] == [[0, -1], [1, 0]]
+        assert manifest["m"] == order4.m == 8
 
 
 class TestTangent:

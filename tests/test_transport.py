@@ -19,10 +19,9 @@ from adiabat.transport import (PsiOperator, VortexStack, apply_psi_operator,
                                transported, vortex_seed)
 from adiabat.vortexfield import (TWO_PI, Dolbeault, FlatBundleFamily,
                                  FlatCurve, HolonomyPath, form_q,
-                                 smooth_family, vortex_solve)
+                                 smooth_family, tau_profile, vortex_solve)
 from adiabat.zlattice import IntMatrix, cokernel
 
-from tests.test_acceptance import tau_profile
 from tests.test_braid import even_winding_braid, odd_winding_braid
 
 MU = 0.2 + 1.0j

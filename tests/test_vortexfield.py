@@ -10,14 +10,14 @@ import adiabat.vortexfield
 from adiabat.errors import HolonomyMismatch, NonConvergence
 from adiabat.vortexfield import (KW_CG_MAXITER, KW_CG_RTOL,
                                  TWIST_CACHE_SIZE, Dolbeault,
-                                 FlatBundleFamily, FlatCurve,
+                                 FlatBundleFamily, FlatCurve, HolonomyPath,
                                  _kw_laplacian_symbol, d_scalar, d_star,
                                  hodge_star, integral,
                                  invariant_modulus, ip_form01,
                                  ip_section, load_field, moment_residual,
                                  pcg, save_field, save_vortex_config,
-                                 smooth_family, star_d, vortex_solve,
-                                 wrap_twist)
+                                 smooth_family, star_d, tau_profile,
+                                 vortex_solve, wrap_twist)
 
 MU = 0.2 + 1.0j
 
@@ -290,6 +290,27 @@ class TestVortexSolve:
             cfg, _ = vortex_solve(curve, [[0.1, 0.2]], 0, tau)
             assert moment_residual(cfg, tau) < 1e-12 * tau
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_holonomy_refused(self, bad):
+        with pytest.raises(ValueError, match="holonomies must be finite"):
+            vortex_solve(FlatCurve(MU, 8), [[bad, 0.1]], 0, 2.0)
+
+    @pytest.mark.parametrize("n, tau", [(8, 1e308), (8, 5e307), (8, -1e308),
+                                        (8, math.nan), (16, 5e305)])
+    @pytest.mark.filterwarnings("error")
+    def test_tau_beyond_the_grid_bound_refused(self, n, tau):
+        """A tau whose grid mean or 2 tau_bar could overflow is refused
+        before anything is summed: |tau| <= max_float / (2 n^2)."""
+        with pytest.raises(ValueError, match=r"need \|tau\| <="):
+            vortex_solve(FlatCurve(MU, n), [[0.1, 0.2]], 0, tau)
+
+    def test_tau_profile(self):
+        X, Y = FlatCurve(MU, 16).grid()
+        tau = tau_profile(X, Y)
+        assert float(np.mean(tau)) == pytest.approx(2.0, abs=1e-14)
+        assert float(np.min(tau)) >= 1.2
+
     def test_inner_cg_failure_raises_non_convergence(self, monkeypatch):
         monkeypatch.setattr(adiabat.vortexfield, "KW_CG_MAXITER", 1)
         with pytest.raises(NonConvergence) as info:
@@ -346,6 +367,19 @@ class TestFamily:
         hol = fam.holonomies(0.5)
         want = np.array([[float(x) for x in b.eval(k, 0.5)] for k in range(2)])
         assert np.max(np.abs(wrap_twist(hol - want))) < 1e-12
+
+    @pytest.mark.parametrize("end", [0.0, 1.0])
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_endpoint_refused(self, end):
+        """A NaN endpoint would pass the closing test, since a NaN
+        distance is not above its tolerance."""
+        fam = smooth_family()
+        path = HolonomyPath(
+            lambda t: [math.nan, 0.1] if t == end else [0.3, 0.1],
+            lambda t: [0.0, 0.0])
+        with pytest.raises(ValueError, match="endpoints must be finite"):
+            FlatBundleFamily(N=1, mc=fam.mc, closing_permutation=(0,),
+                             paths=[path])
 
     def test_base_holonomies_evaluated_once(self):
         fam = smooth_family()
