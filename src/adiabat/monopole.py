@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -95,7 +95,7 @@ class SeamGluing:
                 "f does not preserve the complex structure at this modulus",
                 modulus=[mu.real, mu.imag], C=C.tolist())
         # |gamma| = 1 follows from det C = 1
-        object.__setattr__(self, "gamma", complex(a + mu * c))
+        self.gamma = complex(a + mu * c)
         # the grid point x gathers C^-1 x = (d x0 - b x1, a x1 - c x0)
         n = self.curve.n
         j, k = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
@@ -108,29 +108,23 @@ class SeamGluing:
         self._phase_fwd = self.curve.twist_phase(self.twists + self.gauge) \
             * np.conj(twist[perm][:, i0, i1])
         self._idx_section = (perm.reshape(-1, 1, 1), i0[None], i1[None])
-        object.__setattr__(self, "order", self._order(perm))
+        self.order = self._order(perm)
 
-    # U: slice i -> slice i+m, on the last axes of a stack of slices ---------
-
-    def push_scalar(self, s: np.ndarray) -> np.ndarray:
-        return s[..., self._idx_fwd[0], self._idx_fwd[1]]
-
-    def push_form(self, axy: np.ndarray) -> np.ndarray:
-        pulled = axy[..., self._idx_fwd[0], self._idx_fwd[1]]
-        # einsum, not a BLAS product: a threaded 2 x 2 product over a whole
-        # stack burns CPU without saving time
-        return np.einsum("ij,...jxy->...ixy", self._Finv, pulled)
-
-    def push_section(self, Phi: np.ndarray) -> np.ndarray:
-        return self._phase_fwd * Phi[(...,) + self._idx_section]
-
-    def push_form01(self, Psi: np.ndarray) -> np.ndarray:
-        return self.push_section(Psi) / np.conj(self.gamma)
-
-    def apply(self, arr: np.ndarray, kind: str) -> np.ndarray:
-        return {"scalar": self.push_scalar, "form": self.push_form,
-                "section": self.push_section,
-                "form01": self.push_form01}[kind](arr)
+    def push(self, arr: np.ndarray, kind: str) -> np.ndarray:
+        """U on the last axes of a stack of slices of one ``kind``:
+        "scalar", "form", "section" or "form01"."""
+        if kind == "scalar":
+            return arr[..., self._idx_fwd[0], self._idx_fwd[1]]
+        if kind == "form":
+            # einsum, not a BLAS product: a threaded 2 x 2 product over a
+            # whole stack burns CPU without saving time
+            return np.einsum("ij,...jxy->...ixy", self._Finv,
+                             self.push(arr, "scalar"))
+        if kind == "section":
+            return self._phase_fwd * arr[(...,) + self._idx_section]
+        if kind == "form01":
+            return self.push(arr, "section") / np.conj(self.gamma)
+        raise ValueError(f"unknown field kind {kind!r}")
 
     def _order(self, perm: np.ndarray) -> int:
         """The order of U on the grid, in integers: U^q, q = lcm(ord C,
@@ -183,35 +177,42 @@ class Config3D:
         return self.Phi.shape[1]
 
 
+# the Config3D fields that the tangent fields (a, phi, v, c, psi) move
+MOVED_FIELDS = ("dev", "Phi", "V", "b", "Psi")
+
+
+def _moved(Xi: Config3D) -> List[np.ndarray]:
+    return [getattr(Xi, name) for name in MOVED_FIELDS]
+
+
 @dataclass
 class Tangent3D:
+    """A tangent x = (a, phi), v, y = (c, psi); it iterates its fields in
+    that order."""
+
     a: np.ndarray              # (m, 2, n, n)
     phi: np.ndarray            # (m, N, n, n)
     v: np.ndarray              # (m, n, n)
     c: np.ndarray              # (m, n, n)
     psi: np.ndarray            # (m, N, n, n)
 
+    def __iter__(self) -> Iterator[np.ndarray]:
+        return (getattr(self, f.name) for f in fields(self))
+
     def scale(self, s) -> "Tangent3D":
-        return Tangent3D(s * self.a, s * self.phi, s * self.v, s * self.c,
-                         s * self.psi)
+        return Tangent3D(*(s * f for f in self))
 
     def sup(self) -> float:
-        return max(float(np.max(np.abs(f))) for f in
-                   (self.a, self.phi, self.v, self.c, self.psi))
+        return max(float(np.max(np.abs(f))) for f in self)
 
     @staticmethod
     def zero(Xi: Config3D) -> "Tangent3D":
-        m, N, n = Xi.m, Xi.N, Xi.curve.n
-        return Tangent3D(np.zeros((m, 2, n, n), complex),
-                         np.zeros((m, N, n, n), complex),
-                         np.zeros((m, n, n), complex),
-                         np.zeros((m, n, n), complex),
-                         np.zeros((m, N, n, n), complex))
+        return Tangent3D(*(np.zeros(f.shape, complex) for f in _moved(Xi)))
 
 
 def config_update(Xi: Config3D, xi: Tangent3D) -> Config3D:
-    return replace(Xi, dev=Xi.dev + xi.a, Phi=Xi.Phi + xi.phi,
-                   V=Xi.V + xi.v, b=Xi.b + xi.c, Psi=Xi.Psi + xi.psi)
+    return replace(Xi, **{name: f + g for name, f, g
+                          in zip(MOVED_FIELDS, _moved(Xi), xi)})
 
 
 # ---------------------------------------------------------------------------
@@ -221,7 +222,7 @@ def config_update(Xi: Config3D, xi: Tangent3D) -> Config3D:
 def _extend(Xi: Config3D, arr: np.ndarray, kind: str) -> np.ndarray:
     chunks = [arr]
     for _ in range(Xi.seam.order - 1):
-        chunks.append(Xi.seam.apply(chunks[-1], kind))
+        chunks.append(Xi.seam.push(chunks[-1], kind))
     return np.concatenate(chunks, axis=0)
 
 
@@ -332,8 +333,8 @@ def assemble_adiabatic(trace: TransportTrace, family: FlatBundleFamily,
         raise PeriodicityMismatch("trace does not reach t = 1", t=end.t)
     ref1 = -TWO_PI * (family.holonomies(1.0)[k0] - base[k0])
     dev_end = end.cfg.alpha - 1j * ref1[:, None, None]
-    mis_dev = np.max(np.abs(dev_end - seam.push_form(dev[0])))
-    mis_phi = np.max(np.abs(end.cfg.Phi - seam.push_section(Phi[0])))
+    mis_dev = np.max(np.abs(dev_end - seam.push(dev[0], "form")))
+    mis_phi = np.max(np.abs(end.cfg.Phi - seam.push(Phi[0], "section")))
     if max(mis_dev, mis_phi) > SEAM_TOL:
         raise PeriodicityMismatch(
             "transport end state does not close up across the seam",
@@ -366,7 +367,7 @@ def adiabatic_config(curve: FlatCurve, family: FlatBundleFamily, m: int,
             unit = math.lcm(unit, frac.denominator)
     steps = -(-max(steps, 4 * m) // unit) * unit
     trace = transported(curve, family, k0, steps, tol)
-    return assemble_adiabatic(trace, family, m, k0=k0)
+    return assemble_adiabatic(trace, family, m)
 
 
 def adiabatic_residual(Xi: Config3D, eps: float = 1.0) -> float:
@@ -621,22 +622,18 @@ def ip3(Xi: Config3D, u: Tangent3D, w: Tangent3D,
     return float(area * total)
 
 
-def _pointwise_sq(Xi: Config3D, arrs: Sequence[Tuple[np.ndarray, str]]):
-    """Pointwise squared magnitude (m, n, n) of a slot group."""
-    curve = Xi.curve
-    fw = curve.form_weight
-    out = 0.0
-    for arr, kind in arrs:
-        if kind == "form":
-            p, q = form_pq(curve, arr)
-            out = out + fw * (np.abs(p) ** 2 + np.abs(q) ** 2)
-        elif kind == "section":
-            out = out + np.sum(np.abs(arr) ** 2, axis=1)
-        elif kind == "form01":
-            out = out + fw * np.sum(np.abs(arr) ** 2, axis=1)
-        else:
-            out = out + np.abs(arr) ** 2
-    return out
+def _x_sq(Xi: Config3D, a: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """|x|^2 = w(|p|^2 + |q|^2) + sum_j |phi_j|^2 pointwise, x = (a, phi)
+    and a = p dz + q dzbar."""
+    p, q = form_pq(Xi.curve, a)
+    return Xi.curve.form_weight * (np.abs(p) ** 2 + np.abs(q) ** 2) \
+        + np.sum(np.abs(phi) ** 2, axis=1)
+
+
+def _y_sq(Xi: Config3D, c: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """|y|^2 = |c|^2 + w sum_j |psi_j|^2 pointwise, y = (c, psi)."""
+    return np.abs(c) ** 2 \
+        + Xi.curve.form_weight * np.sum(np.abs(psi) ** 2, axis=1)
 
 
 def _lp(Xi: Config3D, sq: np.ndarray, p: float) -> float:
@@ -651,51 +648,38 @@ class WeightedNormReport:
 
 def weighted_norm(Xi: Config3D, xi: Tangent3D, eps: float, p: float = 2,
                   level=0) -> WeightedNormReport:
-    """The norms of the refinement scheme at reference Xi.
+    """The norms of the refinement scheme at reference Xi: the p-th root of
+    a weighted sum of integrals of |x|^p, |v|^p and |y|^p terms.
 
     level 0: || |x| + e|v| + e|y| ||_p in the displayed integral sense;
     level 1 adds the operator blocks at Xi with their eps weights.
     """
     if p < 2:
         raise ValueError("need p >= 2")
+    ep, e2p = eps ** p, eps ** (2 * p)
+    a, phi, v, c, psi = xi
     if level == 0:
-        x_sq = _pointwise_sq(Xi, [(xi.a, "form"), (xi.phi, "section")])
-        v_sq = _pointwise_sq(Xi, [(xi.v, "scalar")])
-        y_sq = _pointwise_sq(Xi, [(xi.c, "scalar"), (xi.psi, "form01")])
-        total = _lp(Xi, x_sq, p) + eps ** p * _lp(Xi, v_sq, p) \
-            + eps ** p * _lp(Xi, y_sq, p)
-        return WeightedNormReport(total ** (1.0 / p))
-    if level != 1:
+        terms = [(1.0, _x_sq(Xi, a, phi)), (ep, np.abs(v) ** 2),
+                 (ep, _y_sq(Xi, c, psi))]
+    elif level == 1:
+        terms = [(1.0, _x_sq(Xi, a, phi)),
+                 (1.0, np.abs(block_Gstar(Xi, a, phi)) ** 2),
+                 (1.0, _y_sq(Xi, *block_S(Xi, a, phi))),
+                 (ep, _x_sq(Xi, *block_N(Xi, a, phi))),
+                 (ep, _x_sq(Xi, *block_G(Xi, v))),
+                 (e2p, _y_sq(Xi, *block_L(Xi, v))),
+                 (ep, _x_sq(Xi, *block_Sstar(Xi, c, psi))),
+                 (e2p, np.abs(block_Lstar(Xi, c, psi)) ** 2),
+                 (e2p, _y_sq(Xi, *block_M(Xi, c, psi)))]
+    else:
         raise ValueError("level must be 0 or 1")
-    Gs = block_Gstar(Xi, xi.a, xi.phi)
-    Sc, Spsi = block_S(Xi, xi.a, xi.phi)
-    Na, Nphi = block_N(Xi, xi.a, xi.phi)
-    Gva, Gvphi = block_G(Xi, xi.v)
-    Lc, Lpsi = block_L(Xi, xi.v)
-    Ssa, Ssphi = block_Sstar(Xi, xi.c, xi.psi)
-    Ls = block_Lstar(Xi, xi.c, xi.psi)
-    Mc, Mpsi = block_M(Xi, xi.c, xi.psi)
-    terms = [
-        (1.0, _pointwise_sq(Xi, [(xi.a, "form"), (xi.phi, "section")])),
-        (1.0, _pointwise_sq(Xi, [(Gs, "scalar")])),
-        (1.0, _pointwise_sq(Xi, [(Sc, "scalar"), (Spsi, "form01")])),
-        (eps ** p, _pointwise_sq(Xi, [(Na, "form"), (Nphi, "section")])),
-        (eps ** p, _pointwise_sq(Xi, [(Gva, "form"), (Gvphi, "section")])),
-        (eps ** (2 * p), _pointwise_sq(Xi, [(Lc, "scalar"),
-                                            (Lpsi, "form01")])),
-        (eps ** p, _pointwise_sq(Xi, [(Ssa, "form"), (Ssphi, "section")])),
-        (eps ** (2 * p), _pointwise_sq(Xi, [(Ls, "scalar")])),
-        (eps ** (2 * p), _pointwise_sq(Xi, [(Mc, "scalar"),
-                                            (Mpsi, "form01")])),
-    ]
     total = sum(wt * _lp(Xi, sq, p) for wt, sq in terms)
     return WeightedNormReport(total ** (1.0 / p))
 
 
 def config_norm_diff(Xi1: Config3D, Xi0: Config3D, eps: float, p: float = 2,
                      level=1) -> WeightedNormReport:
-    xi = Tangent3D(a=Xi1.dev - Xi0.dev, phi=Xi1.Phi - Xi0.Phi,
-                   v=Xi1.V - Xi0.V, c=Xi1.b - Xi0.b, psi=Xi1.Psi - Xi0.Psi)
+    xi = Tangent3D(*(f1 - f0 for f1, f0 in zip(_moved(Xi1), _moved(Xi0))))
     return weighted_norm(Xi0, xi, eps, p, level)
 
 
@@ -704,20 +688,14 @@ def config_norm_diff(Xi1: Config3D, Xi0: Config3D, eps: float, p: float = 2,
 # ---------------------------------------------------------------------------
 
 def _pack(xi: Tangent3D) -> np.ndarray:
-    return np.concatenate([f.ravel().view(float)
-                           for f in (xi.a, xi.phi, xi.v, xi.c, xi.psi)])
+    return np.concatenate([f.ravel().view(float) for f in xi])
 
 
 def _unpack(Xi: Config3D, vec: np.ndarray) -> Tangent3D:
-    m, N, n = Xi.m, Xi.N, Xi.curve.n
-    shapes = [(m, 2, n, n), (m, N, n, n), (m, n, n), (m, n, n),
-              (m, N, n, n)]
-    out, pos = [], 0
-    for sh in shapes:
-        cnt = 2 * int(np.prod(sh))
-        out.append(vec[pos:pos + cnt].view(complex).reshape(sh))
-        pos += cnt
-    return Tangent3D(*out)
+    moved = _moved(Xi)
+    parts = np.split(vec, np.cumsum([2 * f.size for f in moved])[:-1])
+    return Tangent3D(*(part.view(complex).reshape(f.shape)
+                       for part, f in zip(parts, moved)))
 
 
 def forcing_term(res: float) -> float:
@@ -820,7 +798,9 @@ def newton_refine(Xi0: Config3D, eps: float) -> Tuple[Config3D, List[Dict]]:
     construction, and updates Xi.  Stops below NEWTON_TOL in the (0,2,eps)
     norm; a residual that is not finite and two consecutive residual
     increases abort with Divergence before the next solve, and a residual
-    still above it after NEWTON_MAX_ITER steps raises NonConvergence.
+    still above it after NEWTON_MAX_ITER steps raises NonConvergence.  A
+    field of Xi0 that a tangent moves and that is not finite is an input
+    error: ValueError.
 
     The step is inexact: preconditioned GMRES solves to the relative
     tolerance eta_k = ``forcing_term(r_k)`` (Eisenstat-Walker) of the
@@ -837,6 +817,9 @@ def newton_refine(Xi0: Config3D, eps: float) -> Tuple[Config3D, List[Dict]]:
     log: List[Dict] = []
     prev = math.inf
     increases = 0
+    for name, f in zip(MOVED_FIELDS, _moved(Xi0)):
+        if not np.all(np.isfinite(f)):
+            raise ValueError(f"Xi0.{name} is not finite")
     symbol = _ModeSymbol(Xi0, check_eps(eps))
     for k in range(NEWTON_MAX_ITER + 1):
         R = sw_map(Xi, eps)
@@ -949,7 +932,7 @@ def random_tangent(Xi: Config3D, rng: np.random.Generator) -> Tangent3D:
         acc = raw.copy()
         cur = raw
         for _ in range(R - 1):
-            cur = Xi.seam.apply(np.roll(cur, m, axis=0), kind)
+            cur = Xi.seam.push(np.roll(cur, m, axis=0), kind)
             acc += cur
         return acc[:m] / R
 

@@ -347,6 +347,9 @@ def transport_stack(curve: FlatCurve, family: FlatBundleFamily,
     ``psi`` and are the next step's k1.  At a breakpoint they are those of
     the next segment, evaluated at its start time.
 
+    A start whose alpha or Phi is not finite raises ValueError, one off
+    the moment map TrackingLoss.
+
     If no start has a section on a moving strand, the stack is still: each
     yielded state is its start, with its start residual and Psi = 0, at the
     times the integration would take, and no step or Psi equation is
@@ -357,6 +360,9 @@ def transport_stack(curve: FlatCurve, family: FlatBundleFamily,
         raise ValueError("moment tolerance must be positive")
     tau_grid = _tau_grid(curve, family.tau())
     stack = VortexStack.of(starts)
+    if not (np.all(np.isfinite(stack.alpha))
+            and np.all(np.isfinite(stack.Phi))):
+        raise ValueError("start alpha or Phi is not finite")
     res = moment_residuals(curve, stack.alpha, stack.Phi, tau_grid)
     if not np.all(res <= tol):
         raise TrackingLoss("start configuration violates the moment map",

@@ -245,15 +245,13 @@ def test_criterion_9_operator_contracts():
     f0 = sw_map(Xi, 0.2)
     lin = dsw_apply(Xi, xi, 0.2)
     quad = quadratic_term(Xi, xi, 0.2)
-    split = max(float(np.max(np.abs(
-        getattr(lhs, nm) - getattr(f0, nm)
-        - getattr(lin, nm) - getattr(quad, nm))))
-        for nm in ("a", "phi", "v", "c", "psi"))
+    split = max(float(np.max(np.abs(full - f - d1 - d2)))
+                for full, f, d1, d2 in zip(lhs, f0, lin, quad))
 
     q1 = quadratic_term(Xi, xi, 0.2)
     q2 = quadratic_term(Xi, xi.scale(2.0), 0.2)
-    homog = max(float(np.max(np.abs(getattr(q2, nm) - 4.0 * getattr(q1, nm))))
-                for nm in ("a", "phi", "v", "c", "psi"))
+    homog = max(float(np.max(np.abs(f2 - 4.0 * f1)))
+                for f2, f1 in zip(q2, q1))
 
     scale = max(1.0, xi.sup() ** 2)
     ok = asym < 1e-10 and split < 1e-12 * scale and homog < 1e-12 * scale

@@ -728,7 +728,9 @@ class TestRandomArguments:
         numerical failure first; on a finite-order f* they exit 0 or 2.
         At grid 8, 32 steps, 8 slices, tolerance 1e-6 and tau 2 no command
         fails numerically: transport exits 0, and so do newton and
-        check-identities on a finite-order f*."""
+        check-identities on a finite-order f*.  A newton run that exits 0
+        ends below 1e-9, and with no targets at rank 1 the padding strand
+        is fixed and moves, so it takes at least one Newton step."""
         targets, braid = tmp_path / "targets.json", str(tmp_path / "b.json")
 
         def run_json(argv):
@@ -754,12 +756,15 @@ class TestRandomArguments:
                st.integers(2, 8), st.sampled_from([1e-8, 1e-6, 1e-4]),
                st.floats(1.0, 4.0))
         # parabolic; order 6; order 6 with no spatial band at n = 8; no
-        # strand fixed; the smallest counts, tolerance and tau
+        # strand fixed; the smallest counts, tolerance and tau; a single
+        # moving padding strand at orders 2 and 4, which refines
         @example("-1,1;0,-1", 1, [0], 8, 32, 8, 1e-6, 2.0)
         @example("0,-1;1,1", 2, [0, 1], 8, 32, 8, 1e-6, 2.0)
         @example("-2,-3;1,1", 1, [0], 8, 32, 8, 1e-6, 2.0)
         @example("-1,0;0,-1", 2, [], 8, 32, 8, 1e-6, 2.0)
         @example("0,-1;1,1", 2, [0, 1], 8, 4, 2, 1e-8, 1.0)
+        @example("-1,0;0,-1", 1, [], 8, 32, 8, 1e-6, 2.0)
+        @example("0,-1;1,0", 1, [], 8, 32, 8, 1e-6, 2.0)
         @settings(max_examples=12, deadline=None, derandomize=True)
         def check(matrix, rank, picks, grid, tsteps, slices, tolerance, tau):
             code, rows = run_json(["fix", f"--matrix={matrix}"])
@@ -802,6 +807,12 @@ class TestRandomArguments:
                         in report["message"]
                 elif kind == "finite":
                     assert code in (0,) + numerical, (case, report)
+                    if code == 0 and command == "newton":
+                        for row in report:
+                            log = row["iterations"]
+                            assert log[-1]["residual_0_2_eps"] < 1e-9
+                            # the padding strand moves, so Newton steps
+                            assert picks or len(log) > 1, (case, row)
                 else:
                     assert code in (1,) + numerical, (case, report)
                     if code == 1:

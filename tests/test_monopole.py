@@ -65,12 +65,6 @@ MOVING_BRAIDS = {
     "order4": ([[0, -1], [1, 0]], [([0, 0], 2)]),
     "order6": ([[0, -1], [1, 1]], [([0, 0], 2)]),
 }
-ROWS = ("a", "phi", "v", "c", "psi")
-
-
-def rows(xi):
-    """The five fields of a tangent, in ``ROWS`` order."""
-    return [getattr(xi, row) for row in ROWS]
 
 
 @pytest.fixture(scope="module")
@@ -93,7 +87,7 @@ def moving_strand_configs():
         family = FlatBundleFamily.from_braid(made_braid(fstar, 2, targets))
         curve = FlatCurve(invariant_modulus(family.mc.fstar.to_lists()), 8)
         out[name] = assemble_adiabatic(transported(curve, family, 1, 32),
-                                       family, 8, k0=1)
+                                       family, 8)
     return out
 
 
@@ -186,8 +180,8 @@ class TestSeam:
         rng = np.random.default_rng(0)
         shape = (2, 16, 16)
         coef = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-        image = seam.push_section(curve.from_modes(coef * (size <= 2),
-                                                   seam.twists))
+        image = seam.push(curve.from_modes(coef * (size <= 2), seam.twists),
+                          "section")
         out = np.abs(curve.to_modes(image, seam.twists))
         assert np.max(out[:, size >= 6]) < 1e-3 * np.max(out)
 
@@ -218,7 +212,7 @@ class TestSeam:
             out = {}
             for kind, arr in probes.items():
                 for _ in range(r):
-                    arr = seam.apply(arr, kind)
+                    arr = seam.push(arr, kind)
                 out[kind] = float(np.max(np.abs(arr - probes[kind])))
             return max(out.values())
 
@@ -254,9 +248,8 @@ class TestLinearization:
         lin = dsw_apply(Xi, xi, 0.2)
         quad = quadratic_term(Xi, xi, 0.2)
         parts = []
-        for name in ("a", "phi", "v", "c", "psi"):
-            d = getattr(lhs, name) - getattr(f0, name) \
-                - getattr(lin, name) - getattr(quad, name)
+        for full, f, d1, d2 in zip(lhs, f0, lin, quad):
+            d = full - f - d1 - d2
             parts.append(float(np.max(np.abs(d))))
         scale = max(xi.sup(), 1.0)
         assert max(parts) < 1e-10 * scale
@@ -266,8 +259,8 @@ class TestLinearization:
         xi = random_tangent(Xi, rng)
         q1 = quadratic_term(Xi, xi, 0.2)
         q2 = quadratic_term(Xi, xi.scale(2.0), 0.2)
-        for name in ("a", "phi", "v", "c", "psi"):
-            d = getattr(q2, name) - 4.0 * getattr(q1, name)
+        for f2, f1 in zip(q2, q1):
+            d = f2 - 4.0 * f1
             assert float(np.max(np.abs(d))) < 1e-12
 
     def test_linearization_symmetric(self, Xi):
@@ -294,10 +287,10 @@ class TestLinearization:
 
         base = Xi if name == "smooth" else moving_strand_configs[name]
         base = replace(base, V=noise(base.V), b=noise(base.b))
-        xi = Tangent3D(*map(noise, rows(Tangent3D.zero(base))))
+        xi = Tangent3D(*map(noise, Tangent3D.zero(base)))
         got = linearize_apply(base, xi, eps)
         want = block_sum(base, xi, eps)
-        for row, g, w in zip(ROWS, rows(got), rows(want)):
+        for row, (g, w) in enumerate(zip(got, want)):
             assert np.max(np.abs(g - w)) <= 1e-13 * np.max(np.abs(w)), row
 
     def test_preconditioner_inverts_the_symbol(self, Xi):
@@ -309,12 +302,12 @@ class TestLinearization:
         symbol = monopole._ModeSymbol(flat, 0.2)
         xi = random_tangent(flat, np.random.default_rng(19))
         xi = Tangent3D(*(f - np.mean(f, axis=(0, -2, -1), keepdims=True)
-                         for f in rows(xi)))
+                         for f in xi))
         back = symbol.precondition(linearize_apply(flat, xi, 0.2, symbol))
-        for row, b, f in zip(ROWS, rows(back), rows(xi)):
+        for row, (b, f) in enumerate(zip(back, xi)):
             assert np.max(np.abs(b - f)) < 1e-2 * np.max(np.abs(f)), row
-        mean = Tangent3D(*map(np.ones_like, rows(Tangent3D.zero(flat))))
-        for row, k in zip(ROWS, rows(symbol.precondition(mean))):
+        mean = Tangent3D(*map(np.ones_like, Tangent3D.zero(flat)))
+        for row, k in enumerate(symbol.precondition(mean)):
             assert np.max(np.abs(k - 1.0)) < 1e-12, row
 
     def test_finite_difference_oracle(self, Xi):
@@ -324,9 +317,9 @@ class TestLinearization:
         fp = sw_map(config_update(Xi, xi.scale(h)), 0.2)
         fm = sw_map(config_update(Xi, xi.scale(-h)), 0.2)
         lin = dsw_apply(Xi, xi, 0.2)
-        for name in ("a", "phi", "v", "c", "psi"):
-            fd = (getattr(fp, name) - getattr(fm, name)) / (2 * h)
-            err = float(np.max(np.abs(fd - getattr(lin, name))))
+        for p, m, d in zip(fp, fm, lin):
+            fd = (p - m) / (2 * h)
+            err = float(np.max(np.abs(fd - d)))
             assert err < 1e-5
 
 
@@ -421,6 +414,16 @@ class TestNewton:
         for eps in (1e-77, 1e76):
             assert monopole.check_eps(eps) == eps
 
+    @pytest.mark.parametrize("name", monopole.MOVED_FIELDS)
+    @pytest.mark.filterwarnings("error")
+    def test_non_finite_start_refused(self, coarse_Xi, name):
+        """A field of Xi0 that a tangent moves and that is not finite is an
+        input error, not a divergence of the iteration."""
+        bad = getattr(coarse_Xi, name).copy()
+        bad.flat[0] = math.nan
+        with pytest.raises(ValueError, match=f"Xi0.{name} is not finite"):
+            newton_refine(replace(coarse_Xi, **{name: bad}), 0.2)
+
     def test_growing_residual_diverges(self, coarse_Xi, monkeypatch):
         """Steps of -4 times the right-hand side raise the residual twice;
         the error carries the log of the two steps taken."""
@@ -435,16 +438,17 @@ class TestNewton:
 
     def test_non_finite_residual_diverges_before_any_solve(self, coarse_Xi,
                                                            monkeypatch):
-        """A NaN in Phi makes the first residual NaN: Divergence at k = 0
-        with an empty log, and no GMRES solve."""
+        """A NaN in tau_grid, which no tangent moves, makes the first
+        residual NaN: Divergence at k = 0 with an empty log, and no GMRES
+        solve."""
         def no_solve(*args):
             raise AssertionError("GMRES called on a non-finite residual")
 
         monkeypatch.setattr(monopole, "_gmres", no_solve)
-        Phi = coarse_Xi.Phi.copy()
-        Phi[0, 0, 0, 0] = np.nan
+        tau_grid = coarse_Xi.tau_grid.copy()
+        tau_grid[0, 0] = np.nan
         with pytest.raises(Divergence, match="not finite") as info:
-            newton_refine(replace(coarse_Xi, Phi=Phi), 0.2)
+            newton_refine(replace(coarse_Xi, tau_grid=tau_grid), 0.2)
         assert info.value.detail["log"] == []
         assert math.isnan(info.value.detail["residual"])
         json.dumps(info.value.to_json(), allow_nan=False)
@@ -602,7 +606,7 @@ class TestTangent:
         Xi = assemble_adiabatic(transported(curve, family, 0, 32), family, 8)
         with np.errstate(all="raise"):
             xi = random_tangent(Xi, np.random.default_rng(4))
-        for field in rows(xi):
+        for field in xi:
             assert np.all(np.isfinite(field))
             assert np.allclose(field, field[..., :1, :1], atol=1e-14)
         assert xi.sup() > 0.0

@@ -392,6 +392,19 @@ class TestTransport:
             transport(curve, family, replace(start, Phi=1.1 * start.Phi), 8)
         assert (info.value.code, info.value.exit_code) == ("tracking_loss", 2)
 
+    @pytest.mark.parametrize("name", ["alpha", "Phi"])
+    @pytest.mark.filterwarnings("error")
+    def test_rejects_a_non_finite_start(self, name):
+        """A start that is not finite is an input error, found before the
+        moment check."""
+        curve = FlatCurve(MU, 16)
+        family = smooth_family()
+        start = vortex_seed(curve, family, 0)
+        bad = getattr(start, name).copy()
+        bad.flat[0] = np.nan
+        with pytest.raises(ValueError, match="not finite"):
+            transport(curve, family, replace(start, **{name: bad}), 8)
+
     def test_step_order_near_four(self):
         curve = FlatCurve(MU, 16)
         fam = smooth_family()
